@@ -1,9 +1,11 @@
 """Synthetic sampler with a fully known distribution.
 
 The oracle is a categorical distribution over finitely many abstract paths,
-each mapped to an answer.  Because every probability is known exactly, any
-estimator's moments can be computed by exhaustive enumeration of ordered
-sample outcomes and compared against closed-form claims or Monte Carlo runs.
+each mapped to an answer.  Because every probability is known exactly, the
+moments of any estimator that depends only on the multiset of sampled paths
+can be computed by exhaustive enumeration of sample count vectors, each
+weighted by its multinomial probability, and compared against closed-form
+claims or Monte Carlo runs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -133,7 +135,11 @@ def sample_count_matrix(
 
 @dataclass(frozen=True)
 class OutcomeEnumeration:
-    """Exact moments of an estimator over every ordered sample outcome.
+    """Exact moments of an estimator over every sample count vector.
+
+    ``outcome_probs`` and ``outcome_values`` hold one entry per distinct
+    count vector (how many of the n draws landed on each path): its
+    multinomial probability and the estimator's value on it.
 
     ``estimation_error`` is the mean squared deviation from the true
     confidence, E[(est - p)^2].  ``reasoning_error`` is the mean squared
@@ -186,16 +192,19 @@ def exact_estimator_moments(
     estimator: EstimatorFn,
     target: AnswerLabel,
 ) -> OutcomeEnumeration:
-    """Enumerate all M^n ordered outcomes and average the estimator exactly.
+    """Average the estimator exactly over all C(n+M-1, n) count vectors.
 
-    Each ordered outcome (i_1, ..., i_n) is weighted by the product of its
-    path probabilities; the estimator is evaluated on the corresponding
-    batch and its value read off for ``target``.  The target's true
-    probability is the mass of oracle paths the estimator would file under
-    that same label, so the computation works for answer-keyed and
-    path-keyed estimators alike.
+    The estimator must depend only on the multiset of sampled paths, not
+    on their order; SC, PPL, PC and RPC all do.  Then the n!/prod(c_i!)
+    orderings of a count vector c share one value, so each count vector is
+    evaluated once, on its non-decreasing ordering, and weighted by its
+    multinomial probability n!/prod(c_i!) * prod(q_i^c_i).  The value is
+    read off for ``target``.  The target's true probability is the mass of
+    oracle paths the estimator would file under that same label, so the
+    computation works for answer-keyed and path-keyed estimators alike.
 
-    Raises EnumerationTooLargeError when M^n exceeds 10^7.
+    Raises EnumerationTooLargeError when the M^n ordered outcomes the
+    count vectors stand for exceed 10^7.
     """
     if n < 1:
         raise InvalidSampleSizeError(f"enumeration needs n >= 1, got {n}")
@@ -219,8 +228,11 @@ def exact_estimator_moments(
 
     outcome_probs: List[float] = []
     outcome_values: List[float] = []
-    for idx in product(range(m), repeat=n):
-        weight = math.prod(oracle.path_probs[i] for i in idx)
+    for idx in combinations_with_replacement(range(m), n):
+        orderings = math.factorial(n)
+        for i in range(m):
+            orderings //= math.factorial(idx.count(i))
+        weight = orderings * math.prod(oracle.path_probs[i] for i in idx)
         batch = SampleBatch(paths=tuple(paths[i] for i in idx), problem_id="enum")
         conf = estimator(batch)
         outcome_probs.append(weight)

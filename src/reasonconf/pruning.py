@@ -164,16 +164,27 @@ class _ShapeWorkspace:
         self.powers = np.stack(
             [np.ones_like(log_x), log_x, log_x * log_x], axis=1
         )
+        self._w = np.empty_like(log_x)
 
-    def stats(self, k: float, r: np.ndarray):
-        w = r * np.exp(k * self.centered)
-        s0, s1, s2 = w @ self.powers
-        return float(s0), float(s1), float(s2)
+    def exp_factor(self, k: float) -> np.ndarray:
+        """The weight-independent factor exp(k * (ln x - max ln x))."""
+        e = np.multiply(self.centered, k)
+        np.exp(e, out=e)
+        return e
+
+    def stats(self, e: np.ndarray, r: np.ndarray):
+        """[S0, S1, S2] for weights r at the shape whose factor is e."""
+        # np.dot reaches the same BLAS kernel as ``@`` with less overhead.
+        return np.dot(np.multiply(e, r, out=self._w), self.powers).tolist()
 
 
 def _weighted_mle(
-    r: np.ndarray, r_sum: float, ws: _ShapeWorkspace, k_start: float
-) -> WeibullParams:
+    r: np.ndarray,
+    r_sum: float,
+    ws: _ShapeWorkspace,
+    k_start: float,
+    e_start: Optional[np.ndarray] = None,
+) -> Tuple[WeibullParams, np.ndarray]:
     """Weighted Weibull MLE: shape from safeguarded root-finding, scale closed.
 
     The shape solves g(k) = S1/S0 - 1/k - mean_r(ln x) = 0, which is
@@ -183,15 +194,21 @@ def _weighted_mle(
     sweep's shape, the solve usually exits after one evaluation once EM has
     settled.  The scale is then lam = (S0 / sum r)^(1/k), reusing the power
     sums from the final shape evaluation.
+
+    ``e_start`` may carry ``ws.exp_factor(k_start)`` from the previous
+    sweep; the factor at the returned shape comes back for the next one.
     """
-    t = float(r @ ws.log_x) / r_sum
+    t = float(np.dot(r, ws.log_x)) / r_sum
     lo, hi = SHAPE_MIN, SHAPE_MAX
     k = min(max(k_start, lo), hi)
+    e = e_start if k == k_start else None
     s0 = 0.0
     k_eval = k
     for _ in range(60):
         k_eval = k
-        s0, s1, s2 = ws.stats(k, r)
+        if e is None:
+            e = ws.exp_factor(k)
+        s0, s1, s2 = ws.stats(e, r)
         if s0 <= 0.0:
             g, slope = -1.0, 1.0 / (k * k)
         else:
@@ -211,13 +228,15 @@ def _weighted_mle(
         if abs(k_new - k) < 1e-12 * k:
             break
         k = k_new
+        e = None
     if k != k_eval:
-        s0 = ws.stats(k, r)[0]
+        e = ws.exp_factor(k)
+        s0 = ws.stats(e, r)[0]
     if s0 <= 0.0:
         scale = math.exp(ws.shift)
     else:
         scale = math.exp(ws.shift + math.log(s0 / r_sum) / k)
-    return WeibullParams(shape=k, scale=scale)
+    return WeibullParams(shape=k, scale=scale), e
 
 
 def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> MixtureFit:
@@ -260,6 +279,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
     comp1 = _moment_init(x[order[:half]])
     comp2 = _moment_init(x[order[half:]])
     w1 = 0.5
+    e1 = e2 = None
 
     loglik = -math.inf
     converged = False
@@ -267,21 +287,23 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
     for iterations in range(1, config.max_iter + 1):
         l1, l2 = log_joint(w1, comp1, comp2)
         norm = np.logaddexp(l1, l2)
-        new_loglik = float(np.sum(norm))
+        new_loglik = float(norm.sum())
 
-        r1 = np.exp(l1 - norm)
-        if np.isnan(r1).any():
+        r1 = np.subtract(l1, norm)
+        np.exp(r1, out=r1)
+        r1_sum = float(r1.sum())
+        if math.isnan(r1_sum):
             r1 = np.where(np.isnan(r1), 0.5, r1)
+            r1_sum = float(r1.sum())
         r2 = 1.0 - r1
 
-        r1_sum = float(np.sum(r1))
         r2_sum = x.size - r1_sum
         w1 = min(max(r1_sum / x.size, lo_w), hi_w)
 
         if r1_sum > 1e-12:
-            comp1 = _weighted_mle(r1, r1_sum, ws, comp1.shape)
+            comp1, e1 = _weighted_mle(r1, r1_sum, ws, comp1.shape, e1)
         if r2_sum > 1e-12:
-            comp2 = _weighted_mle(r2, r2_sum, ws, comp2.shape)
+            comp2, e2 = _weighted_mle(r2, r2_sum, ws, comp2.shape, e2)
 
         if abs(new_loglik - loglik) < config.tol:
             loglik = new_loglik
@@ -290,7 +312,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
         loglik = new_loglik
 
     l1, l2 = log_joint(w1, comp1, comp2)
-    loglik = float(np.sum(np.logaddexp(l1, l2)))
+    loglik = float(np.logaddexp(l1, l2).sum())
 
     lm1, lm2 = comp1.log_mean(), comp2.log_mean()
     if lm1 > lm2:
@@ -370,7 +392,7 @@ def prune(
         fallback = True
 
     if fit is not None:
-        posteriors = _p_high_arr(np.asarray(x, dtype=float), fit)
+        posteriors = _p_high_arr(np.asarray(x, dtype=float), fit).tolist()
         keep = [p >= mean or post >= 0.5 for p, post in zip(x, posteriors)]
     else:
         keep = [p >= mean for p in x]

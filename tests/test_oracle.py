@@ -1,5 +1,6 @@
 """Synthetic sampler: exact expectations by enumeration, seeded sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,18 +10,20 @@ from reasonconf import (
     EnumerationTooLargeError,
     InvalidSampleSizeError,
     ReasonConfError,
+    SampleBatch,
     derive_seed,
     exact_estimator_moments,
     monte_carlo_estimation_error,
     oracle_from_json,
     pc_confidence,
     ppl_confidence,
+    rpc_confidence,
     sample_batch,
     sc_confidence,
     true_answer_prob,
 )
 
-from conftest import label, oracle
+from conftest import label, oracle, path
 
 
 class TestOracleSpec:
@@ -149,7 +152,100 @@ def _small_oracles():
         for answers in [("A", "B", "C"), ("A", "A", "B"), ("A", "B", "B")]:
             for truth in ("A", "C"):
                 specs.append(oracle(probs, answers, truth))
+    for truth in ("A", "D"):
+        specs.append(oracle((0.4, 0.3, 0.2, 0.1), ("A", "B", "A", "C"), truth))
     return specs
+
+
+_ESTIMATORS = {
+    "SC": sc_confidence,
+    "PPL": ppl_confidence,
+    "PC": pc_confidence,
+    "RPC": lambda b: rpc_confidence(b)[0],
+}
+
+
+def _ordered_outcomes(spec, n, estimator):
+    """Reference enumeration: every one of the M^n ordered outcomes, with
+    its probability and the estimator's full confidence map."""
+    paths = spec.make_paths()
+    weights, confs = [], []
+    for idx in itertools.product(range(spec.num_paths), repeat=n):
+        weights.append(math.prod(spec.path_probs[i] for i in idx))
+        batch = SampleBatch(paths=tuple(paths[i] for i in idx))
+        confs.append(estimator(batch).entries)
+    return weights, confs
+
+
+class TestCountVectorEnumeration:
+    @pytest.mark.parametrize("kind", list(_ESTIMATORS))
+    def test_matches_ordered_outcome_enumeration(self, kind):
+        estimator = _ESTIMATORS[kind]
+        # The truth label does not change what the estimator sees.
+        outcomes = {}
+        for spec in _small_oracles():
+            m = spec.num_paths
+            targets = (
+                set(spec.path_answers)
+                | {label(f"t{i}") for i in range(m)}
+                | {spec.truth, label("zz-absent")}
+            )
+            for n in range(1, 7):
+                key = (spec.path_probs, spec.path_answers, n)
+                if key not in outcomes:
+                    outcomes[key] = _ordered_outcomes(spec, n, estimator)
+                weights, confs = outcomes[key]
+                for target in targets:
+                    enum = exact_estimator_moments(spec, n, estimator, target)
+                    assert len(enum.outcome_probs) == math.comb(n + m - 1, n)
+                    assert math.fsum(enum.outcome_probs) == pytest.approx(
+                        1.0, abs=1e-12
+                    )
+                    values = [conf.get(target, 0.0) for conf in confs]
+                    ind = 1.0 if enum.is_correct else 0.0
+                    reference = [
+                        math.fsum(w * f(v) for w, v in zip(weights, values))
+                        for f in (
+                            lambda v: v,
+                            lambda v: v * v,
+                            lambda v: (v - enum.true_prob) ** 2,
+                            lambda v: (v - ind) ** 2,
+                        )
+                    ]
+                    got = [
+                        enum.expectation,
+                        enum.second_moment,
+                        enum.estimation_error,
+                        enum.reasoning_error,
+                    ]
+                    assert got == pytest.approx(reference, abs=1e-12)
+
+
+class TestEstimatorsIgnoreSampleOrder:
+    """Count-vector enumeration scores one ordering per multiset of paths,
+    which is exact only if reordering a batch leaves every estimate alone."""
+
+    def test_permuted_batches_score_alike(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(500):
+            k = int(rng.integers(1, 8))
+            distinct = [
+                path(f"t{i}", float(q), str(a))
+                for i, (q, a) in enumerate(
+                    zip(rng.uniform(0.01, 0.9, k), rng.choice(list("ABC"), k))
+                )
+            ]
+            idx = rng.integers(0, k, size=int(rng.integers(k + 1, 2 * k + 4)))
+            batch = SampleBatch(paths=tuple(distinct[i] for i in idx))
+            shuffled = SampleBatch(
+                paths=tuple(distinct[i] for i in rng.permutation(idx))
+            )
+            assert sc_confidence(shuffled).entries == sc_confidence(batch).entries
+            assert ppl_confidence(shuffled).entries == ppl_confidence(batch).entries
+            for fn, tol in ((pc_confidence, 1e-15), (_ESTIMATORS["RPC"], 1e-12)):
+                want, got = fn(batch).entries, fn(shuffled).entries
+                assert got.keys() == want.keys()
+                assert all(abs(got[a] - want[a]) <= tol for a in want)
 
 
 class TestVoteEstimatorIsUnbiased:

@@ -128,6 +128,26 @@ class TestFitMixture:
         b = fit_mixture(values.tolist())
         assert (a.comp1, a.comp2, a.w1, a.loglik) == (b.comp1, b.comp2, b.w1, b.loglik)
 
+    def test_carried_exp_factor_changes_no_bit(self):
+        # Each M-step solve starts from the factor exp(k * centered ln x)
+        # kept from the previous sweep; it must land exactly where a solve
+        # that recomputes the factor lands.
+        from reasonconf.pruning import _ShapeWorkspace, _weighted_mle
+
+        values, _ = bimodal_sample(seed=5, n=64)
+        ws = _ShapeWorkspace(np.log(values))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(6)))
+        for k_start in (0.3, 1.0, 2.5, 40.0):
+            r = rng.random(values.size)
+            r_sum = float(r.sum())
+            cold, cold_e = _weighted_mle(r, r_sum, ws, k_start)
+            warm, warm_e = _weighted_mle(
+                r, r_sum, ws, k_start, ws.exp_factor(k_start)
+            )
+            assert warm == cold
+            np.testing.assert_array_equal(warm_e, cold_e)
+            np.testing.assert_array_equal(cold_e, ws.exp_factor(cold.shape))
+
     def test_weight_bounds_respected(self):
         for seed in range(4):
             values, _ = bimodal_sample(seed=seed, n=32)
