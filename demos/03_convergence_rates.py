@@ -43,9 +43,9 @@ for n in NS:
     psum = monte_carlo_estimation_error(
         sum_oracle, "PC", AnswerLabel("A"), n, TRIALS, derive_seed(5, 3, n)
     )
-    vote_errors.append(vote.mean_sq_error)
-    sum_errors.append(psum.mean_sq_error)
-    print(f"{n:>5} {vote.mean_sq_error:>14.3e} {psum.mean_sq_error:>18.3e}")
+    vote_errors.append(vote.estimation_error)
+    sum_errors.append(psum.estimation_error)
+    print(f"{n:>5} {vote.estimation_error:>14.3e} {psum.estimation_error:>18.3e}")
 
 vote_fit = RateFit.fit(NS, vote_errors, "loglog")
 print(f"\nvote fraction log-log slope: {vote_fit.slope:+.4f} (ideal -1)")

@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
 from .estimators import (
     ESTIMATOR_KINDS,
     estimate,
+    path_identity,
     rpc_confidence,
     sc_confidence,
     pc_confidence,
@@ -34,6 +35,7 @@ from .estimators import (
     selection_for_scoring,
 )
 from .error_analysis import (
+    MCErrorEstimate,
     RateFit,
     monte_carlo_estimation_error,
     pc_closed_form,
@@ -48,7 +50,6 @@ from .oracle import (
     exact_estimator_moments,
     load_oracle,
     sample_batch,
-    true_answer_prob,
 )
 from .paths import AnswerLabel, canonicalize_answer, unique_paths
 from .pruning import FitConfig, fit_mixture
@@ -56,24 +57,6 @@ from .pruning import FitConfig, fit_mixture
 logger = logging.getLogger("reasonconf")
 
 _METHOD_ORDINAL = {"SC": 1, "PPL": 2, "PC": 3, "RPC": 4}
-
-_DEFAULTS = {
-    "seed": 0,
-    "methods": ["SC", "PPL", "PC", "RPC"],
-    "prob_mode": "length_normalized",
-    "n_grid": [64, 128],
-    "repeats": 10,
-    "trials": 100000,
-    "bins": 10,
-    "normalize_confidence": False,
-    "truths": None,
-    "fit": {
-        "weight_bounds": [0.2, 0.8],
-        "max_iter": 200,
-        "tol": 1e-8,
-    },
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -86,21 +69,25 @@ class RunConfig:
     repeats: int = 10
     trials: int = 100000
     bins: int = 10
-    normalize_confidence: bool = False
     truths: Optional[Dict[str, str]] = None
     fit: FitConfig = field(default_factory=FitConfig)
 
+    def to_doc(self) -> dict:
+        """The JSON document form; ``RunConfig()``'s is the full schema."""
+        return asdict(self)
+
     @classmethod
     def from_doc(cls, doc: dict) -> "RunConfig":
-        unknown = set(doc) - set(_DEFAULTS)
+        defaults = cls().to_doc()
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = {**_DEFAULTS, **doc}
+        merged = {**defaults, **doc}
         fit_doc = merged["fit"]
-        fit_unknown = set(fit_doc) - set(_DEFAULTS["fit"])
+        fit_unknown = set(fit_doc) - set(defaults["fit"])
         if fit_unknown:
             raise ConfigError(f"unknown fit config keys: {sorted(fit_unknown)}")
-        fit_merged = {**_DEFAULTS["fit"], **fit_doc}
+        fit_merged = {**defaults["fit"], **fit_doc}
         methods = tuple(merged["methods"])
         for m in methods:
             if m not in ESTIMATOR_KINDS:
@@ -123,13 +110,11 @@ class RunConfig:
             repeats=int(merged["repeats"]),
             trials=int(merged["trials"]),
             bins=int(merged["bins"]),
-            normalize_confidence=bool(merged["normalize_confidence"]),
             truths=truths,
             fit=FitConfig(
                 weight_bounds=tuple(fit_merged["weight_bounds"]),
                 max_iter=int(fit_merged["max_iter"]),
                 tol=float(fit_merged["tol"]),
-                mode=merged["prob_mode"],
             ),
         )
 
@@ -142,15 +127,6 @@ class RunConfig:
         if seed_override is not None:
             doc = {**doc, "seed": seed_override}
         return cls.from_doc(doc)
-
-
-def _scored_confidence(method: str, conf, value: float, cfg: RunConfig) -> float:
-    """Clamp (and optionally normalize) a selected confidence for scoring."""
-    if cfg.normalize_confidence and method in ("PC", "RPC"):
-        total = conf.total()
-        if total > 0:
-            value = value / total
-    return min(1.0, max(0.0, value))
 
 
 def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
@@ -167,7 +143,7 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
                 conf = estimate(method, batch, cfg.fit)
                 answer, value = selection_for_scoring(method, conf, batch)
                 correct = answer == oracle.truth
-                scored = _scored_confidence(method, conf, value, cfg)
+                scored = min(1.0, max(0.0, value))
                 rows.append(
                     (
                         method,
@@ -182,28 +158,28 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
 
 
 def _convergence_target(oracle: OracleSpec, method: str) -> AnswerLabel:
+    """The truth, or for PPL the first path carrying it (else path 0)."""
     if method != "PPL":
         return oracle.truth
-    for i, answer in enumerate(oracle.path_answers):
-        if answer == oracle.truth:
-            return AnswerLabel(canonical=f"t{i}")
-    return AnswerLabel(canonical="t0")
+    paths = oracle.make_paths()
+    for path in paths:
+        if path.answer == oracle.truth:
+            return path_identity(path)
+    return path_identity(paths[0])
 
 
-def _closed_form_estimation(oracle: OracleSpec, method: str, n: int) -> float:
-    p = true_answer_prob(oracle, oracle.truth)
+def _closed_form_estimation(
+    oracle: OracleSpec, method: str, n: int, mc: MCErrorEstimate
+) -> float:
+    """The closed-form estimation term at the target's p and I from ``mc``."""
+    p, correct = mc.true_prob, mc.is_correct
     if method == "SC":
-        return sc_closed_form(p, n, True).estimation_error
+        return sc_closed_form(p, n, correct).estimation_error
     if method == "PPL":
-        target = _convergence_target(oracle, "PPL")
-        idx = int(target.canonical[1:])
-        q = oracle.path_probs[idx]
-        correct = oracle.path_answers[idx] == oracle.truth
-        return ppl_closed_form(q, n, correct).estimation_error
+        return ppl_closed_form(p, n, correct).estimation_error
     if method == "PC":
-        k = sum(1 for a in oracle.path_answers if a == oracle.truth)
-        k = max(k, 1)
-        return pc_closed_form(p, k, n, True).estimation_error
+        k = max(1, sum(1 for a in oracle.path_answers if a == oracle.truth))
+        return pc_closed_form(p, k, n, correct).estimation_error
     raise ConfigError(f"no closed form for method {method!r}")
 
 
@@ -231,10 +207,9 @@ def convergence_rows(
                 cfg.trials,
                 derive_seed(cfg.seed, _METHOD_ORDINAL[method], n),
             )
-            mc_errors.append(mc.mean_sq_error)
-            rows.append(
-                (method, n, mc.mean_sq_error, _closed_form_estimation(oracle, method, n))
-            )
+            mc_errors.append(mc.estimation_error)
+            closed = _closed_form_estimation(oracle, method, n, mc)
+            rows.append((method, n, mc.estimation_error, closed))
         transform = "loglog" if method == "SC" else "semilog"
         try:
             rate = RateFit.fit(list(cfg.n_grid), mc_errors, transform)
@@ -256,11 +231,15 @@ _ENUM_FNS = {
 
 
 def decompose_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
-    """Exact (or Monte Carlo, flagged) error decomposition per (method, n).
+    """Error decomposition per (method, n), exact or flagged Monte Carlo.
 
-    Rows: (method, n, estimation_error, model_error, total, exact).  The
-    additivity of the exact decomposition for the voting estimator is
-    asserted to 1e-12.
+    Rows: (method, n, estimation_error, model_error, total, exact), where
+    ``total`` is the reasoning error E[(est - I)^2] on both routes.  A row
+    is enumerated exactly when the M^n ordered outcomes fit under the
+    enumeration cap, and estimated by Monte Carlo otherwise; RPC has no
+    Monte Carlo route, so its rows past the cap are skipped with a
+    warning.  The additivity of the exact decomposition for the voting
+    estimator is asserted to 1e-12.
     """
     rows = []
     for method in cfg.methods:
@@ -271,21 +250,22 @@ def decompose_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
         target = _convergence_target(oracle, method)
         for n in cfg.n_grid:
             try:
-                enum = exact_estimator_moments(oracle, n, estimator, target)
-                est = enum.estimation_error
-                model = enum.model_error
-                total = enum.reasoning_error
+                res = exact_estimator_moments(oracle, n, estimator, target)
                 exact = True
-                if method == "SC":
-                    drift = abs(total - est - model)
-                    if drift > 1e-12:
-                        raise ReasonConfError(
-                            f"voting decomposition drift {drift} at n={n}"
-                        )
+                drift = res.reasoning_error - res.estimation_error - res.model_error
+                if method == "SC" and abs(drift) > 1e-12:
+                    raise ReasonConfError(
+                        f"voting decomposition drift {abs(drift)} at n={n}"
+                    )
             except EnumerationTooLargeError:
                 if method == "RPC":
+                    logger.warning(
+                        "decompose: skipping method RPC at n=%d: too many "
+                        "outcomes to enumerate and no Monte Carlo route",
+                        n,
+                    )
                     continue
-                mc = monte_carlo_estimation_error(
+                res = monte_carlo_estimation_error(
                     oracle,
                     method,
                     target,
@@ -293,18 +273,9 @@ def decompose_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
                     cfg.trials,
                     derive_seed(cfg.seed, _METHOD_ORDINAL[method], n, 1),
                 )
-                if method == "PPL":
-                    idx = int(target.canonical[1:])
-                    p = oracle.path_probs[idx]
-                    correct = oracle.path_answers[idx] == oracle.truth
-                else:
-                    p = true_answer_prob(oracle, oracle.truth)
-                    correct = True  # target is the truth answer itself
-                model = (p - (1.0 if correct else 0.0)) ** 2
-                est = mc.mean_sq_error
-                total = est + model
                 exact = False
-            rows.append((method, n, est, model, total, exact))
+            errors = (res.estimation_error, res.model_error, res.reasoning_error)
+            rows.append((method, n, *errors, exact))
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows
 
@@ -332,7 +303,7 @@ def estimate_rows(
             else:
                 conf = estimate(method, batch, cfg.fit)
             answer, value = selection_for_scoring(method, conf, batch)
-            scored = _scored_confidence(method, conf, value, cfg)
+            scored = min(1.0, max(0.0, value))
             rows.append(
                 ResultRow(
                     problem_id=pid,
@@ -489,25 +460,10 @@ def _cmd_metrics(args) -> str:
 
 def _cmd_config(args) -> str:
     if args.print_defaults:
-        return json.dumps(_DEFAULTS, indent=2, sort_keys=True) + "\n"
-    cfg = RunConfig.load(args.config, args.seed)
-    doc = {
-        "seed": cfg.seed,
-        "methods": list(cfg.methods),
-        "prob_mode": cfg.prob_mode,
-        "n_grid": list(cfg.n_grid),
-        "repeats": cfg.repeats,
-        "trials": cfg.trials,
-        "bins": cfg.bins,
-        "normalize_confidence": cfg.normalize_confidence,
-        "truths": cfg.truths,
-        "fit": {
-            "weight_bounds": list(cfg.fit.weight_bounds),
-            "max_iter": cfg.fit.max_iter,
-            "tol": cfg.fit.tol,
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        cfg = RunConfig()
+    else:
+        cfg = RunConfig.load(args.config, args.seed)
+    return json.dumps(cfg.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,8 @@ from typing import Literal, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import AssumptionError, DomainError, EmptyInputError
-from .oracle import OracleSpec, sample_count_matrix, true_answer_prob
+from .estimators import path_identity
+from .oracle import OracleSpec, sample_count_matrix, target_paths, true_answer_prob
 from .paths import AnswerLabel
 
 Regime = Literal["exponential", "linear"]
@@ -226,11 +227,24 @@ def model_error_comparison(
 
 @dataclass(frozen=True)
 class MCErrorEstimate:
-    """Monte Carlo estimate of E[(est - p)^2] with its standard error."""
+    """Monte Carlo counterpart of ``OutcomeEnumeration``, with its names.
 
-    mean_sq_error: float
+    ``estimation_error`` and ``reasoning_error`` are the means of
+    (est - p)^2 and (est - I)^2 over the same trials, where p is the
+    target's exact ``true_prob`` and I is ``is_correct``; ``stderr`` is
+    the standard error of ``estimation_error``.
+    """
+
+    estimation_error: float
+    reasoning_error: float
+    true_prob: float
+    is_correct: bool
     stderr: float
     trials: int
+
+    @property
+    def model_error(self) -> float:
+        return (self.true_prob - _indicator(self.is_correct)) ** 2
 
 
 def monte_carlo_estimation_error(
@@ -241,42 +255,37 @@ def monte_carlo_estimation_error(
     trials: int,
     seed: int,
 ) -> MCErrorEstimate:
-    """Squared deviation of the estimated from the true confidence, averaged
-    over seeded trials.
+    """Estimation and reasoning error of an estimator over seeded trials.
 
     Runs on the per-trial sample-count matrix, which determines the SC, PPL
     and PC statistics without materializing path objects; a cross-check
     against the object-level estimators is part of the test suite.
+    ``target_paths`` resolves the target to the paths with that answer (SC,
+    PC) or that identity (PPL).  SC estimates their vote fraction; PC, and
+    PPL over its one path, the summed mass of those that were sampled.
     """
-    probs = np.asarray(oracle.path_probs)
-    counts = sample_count_matrix(oracle, n, trials, seed)
-    if kind == "SC":
-        mask = np.asarray([a == target for a in oracle.path_answers], dtype=bool)
-        true_p = float(probs[mask].sum())
-        estimates = counts[:, mask].sum(axis=1) / n
+    if kind in ("SC", "PC"):
+        labels = oracle.path_answers
     elif kind == "PPL":
-        idx = _path_index_for_identity(oracle, target)
-        true_p = float(probs[idx])
-        estimates = probs[idx] * (counts[:, idx] > 0)
-    elif kind == "PC":
-        mask = np.asarray([a == target for a in oracle.path_answers], dtype=bool)
-        true_p = float(probs[mask].sum())
-        estimates = ((counts[:, mask] > 0) * probs[mask]).sum(axis=1)
+        labels = [path_identity(p) for p in oracle.make_paths()]
     else:
         raise ValueError(f"no fast Monte Carlo route for estimator {kind!r}")
+    indices, true_p, is_correct = target_paths(oracle, labels, target)
+    idx = list(indices)
+    counts = sample_count_matrix(oracle, n, trials, seed)[:, idx]
+    if kind == "SC":
+        estimates = counts.sum(axis=1) / n
+    else:
+        estimates = ((counts > 0) * np.asarray(oracle.path_probs)[idx]).sum(axis=1)
     sq = (estimates - true_p) ** 2
     return MCErrorEstimate(
-        mean_sq_error=float(np.mean(sq)),
+        estimation_error=float(np.mean(sq)),
+        reasoning_error=float(np.mean((estimates - _indicator(is_correct)) ** 2)),
+        true_prob=true_p,
+        is_correct=is_correct,
         stderr=float(np.std(sq) / math.sqrt(trials)),
         trials=trials,
     )
-
-
-def _path_index_for_identity(oracle: OracleSpec, target: AnswerLabel) -> int:
-    for i in range(oracle.num_paths):
-        if AnswerLabel(canonical=f"t{i}") == target:
-            return i
-    raise DomainError(f"target {target!r} is not a path identity of this oracle")
 
 
 @dataclass(frozen=True)

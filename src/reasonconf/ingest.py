@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -26,6 +27,8 @@ from .paths import (
     canonicalize_answer,
     make_path,
 )
+
+logger = logging.getLogger(__name__)
 
 _REQUIRED_KEYS = ("problem_id", "text", "token_logprobs", "answer")
 _OPTIONAL_KEYS = ("class_id", "ext_score")
@@ -115,7 +118,8 @@ def load_records(path: str, strict: bool = True) -> List[PathRecord]:
     """Parse a JSONL file into records, collecting per-line errors.
 
     In strict mode any malformed line aborts the run with a combined
-    message; in lenient mode malformed lines are skipped.
+    message; in lenient mode malformed lines are skipped with a warning
+    that gives their count and first line numbers.
     """
     records: List[PathRecord] = []
     problems: List[ParseError] = []
@@ -135,6 +139,10 @@ def load_records(path: str, strict: bool = True) -> List[PathRecord]:
     if problems and strict:
         details = "; ".join(str(p) for p in problems)
         raise ReasonConfError(f"{len(problems)} malformed line(s): {details}")
+    if problems:
+        first = ", ".join(str(p.line_no) for p in problems[:5])
+        msg = "skipped %d malformed line(s) of %s, first at line(s) %s"
+        logger.warning(msg, len(problems), path, first)
     return records
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,9 +98,27 @@ def load_oracle(path: str) -> OracleSpec:
 
 def true_answer_prob(oracle: OracleSpec, ans: AnswerLabel) -> float:
     """Exact probability mass of an answer: sum over its paths, 0 if absent."""
-    return math.fsum(
-        q for q, a in zip(oracle.path_probs, oracle.path_answers) if a == ans
-    )
+    return target_paths(oracle, oracle.path_answers, ans)[1]
+
+
+def target_paths(
+    oracle: OracleSpec, labels: Sequence[AnswerLabel], target: AnswerLabel
+) -> Tuple[Tuple[int, ...], float, bool]:
+    """The oracle paths a target stands for, their mass, and correctness.
+
+    ``labels[i]`` is the label an estimator files oracle path i under: the
+    path's answer for the answer-keyed estimators, its identity for PPL.
+    The target stands for every path filed under it; it is correct when
+    the first such path carries the truth, or, if it stands for no path,
+    when the target is the truth itself.
+    """
+    indices = tuple(i for i, key in enumerate(labels) if key == target)
+    mass = math.fsum(oracle.path_probs[i] for i in indices)
+    if indices:
+        is_correct = oracle.path_answers[indices[0]] == oracle.truth
+    else:
+        is_correct = target == oracle.truth
+    return indices, mass, is_correct
 
 
 def sample_batch(oracle: OracleSpec, n: int, seed: int) -> SampleBatch:
@@ -199,9 +217,11 @@ def exact_estimator_moments(
     orderings of a count vector c share one value, so each count vector is
     evaluated once, on its non-decreasing ordering, and weighted by its
     multinomial probability n!/prod(c_i!) * prod(q_i^c_i).  The value is
-    read off for ``target``.  The target's true probability is the mass of
-    oracle paths the estimator would file under that same label, so the
-    computation works for answer-keyed and path-keyed estimators alike.
+    read off for ``target``.  The estimator is probed with one-path batches
+    to learn the label it files each oracle path under, and
+    :func:`target_paths` turns those labels into the target's true
+    probability and correctness, so the computation works for answer-keyed
+    and path-keyed estimators alike.
 
     Raises EnumerationTooLargeError when the M^n ordered outcomes the
     count vectors stand for exceed 10^7.
@@ -216,14 +236,7 @@ def exact_estimator_moments(
 
     paths = oracle.make_paths()
     keys = [_estimator_key(estimator, path) for path in paths]
-    true_prob = math.fsum(
-        q for q, key in zip(oracle.path_probs, keys) if key == target
-    )
-    matching = [a for a, key in zip(oracle.path_answers, keys) if key == target]
-    if matching:
-        is_correct = matching[0] == oracle.truth
-    else:
-        is_correct = target == oracle.truth
+    _, true_prob, is_correct = target_paths(oracle, keys, target)
     ind = 1.0 if is_correct else 0.0
 
     outcome_probs: List[float] = []

@@ -167,9 +167,6 @@ class ConfidenceMap:
             if value < 0:
                 raise ValueError(f"negative confidence {value} for {label!r}")
 
-    def total(self) -> float:
-        return math.fsum(self.entries.values())
-
 
 def unique_paths(batch: SampleBatch) -> List[ReasoningPath]:
     """Deduplicate by exact text, keeping first occurrences in sampling order."""

@@ -57,7 +57,6 @@ class FitConfig:
     weight_bounds: Tuple[float, float] = (0.2, 0.8)
     max_iter: int = 200
     tol: float = 1e-8
-    mode: str = "length_normalized"
 
     def __post_init__(self):
         lo, hi = self.weight_bounds

@@ -180,7 +180,7 @@ def test_c03_convergence_rates():
         sc_errors = [
             monte_carlo_estimation_error(
                 sc_spec, "SC", label("A"), n, 100_000, derive_seed(seed, 1, n)
-            ).mean_sq_error
+            ).estimation_error
             for n in ns
         ]
         sc_fit = RateFit.fit(ns, sc_errors, "loglog")
@@ -193,7 +193,7 @@ def test_c03_convergence_rates():
         pc_errors = [
             monte_carlo_estimation_error(
                 pc_spec, "PC", label("A"), n, 100_000, derive_seed(seed, 3, n)
-            ).mean_sq_error
+            ).estimation_error
             for n in ns
         ]
         pc_fit = RateFit.fit(ns, pc_errors, "semilog")

@@ -1,11 +1,15 @@
 """CLI contract: every command deterministic, validated config, clean exits."""
 
 import json
+import logging
+import math
 
 import pytest
 
-from reasonconf.cli import RunConfig, main
+import reasonconf.oracle
+from reasonconf.cli import RunConfig, decompose_rows, main
 from reasonconf import ConfigError
+from reasonconf.oracle import oracle_from_json
 
 
 @pytest.fixture
@@ -164,10 +168,6 @@ class TestRunConfig:
         cfg = RunConfig.load(config_file, seed_override=99)
         assert cfg.seed == 99
 
-    def test_prob_mode_propagates_to_fit(self):
-        cfg = RunConfig.from_doc({"prob_mode": "joint"})
-        assert cfg.fit.mode == "joint"
-
 
 class TestErrorHandling:
     def test_bad_config_exits_nonzero(self, tmp_path, oracle_file, capsys):
@@ -253,3 +253,64 @@ class TestEstimateOutputs:
         by_problem = {line.split(",")[0]: line for line in lines}
         assert by_problem["p1"].endswith("true")
         assert by_problem["p2"].endswith("false")
+
+
+class TestDecomposeFallback:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # Many paths at small n: PC and PPL are far from unbiased.
+            {
+                "path_probs": [0.125] * 4 + [0.05] * 10,
+                "path_answers": ["T"] * 4 + [f"w{i}" for i in range(10)],
+                "truth": "T",
+            },
+            # No path carries the truth, so PPL targets a wrong path.
+            {"path_probs": [0.5, 0.3, 0.2], "path_answers": ["B", "C", "D"], "truth": "A"},
+        ],
+    )
+    def test_monte_carlo_total_is_reasoning_error(self, monkeypatch, doc):
+        oracle = oracle_from_json(doc)
+        cfg = RunConfig.from_doc(
+            {"seed": 3, "methods": ["SC", "PPL", "PC"], "n_grid": [3], "trials": 20000}
+        )
+        exact = {row[0]: row[4] for row in decompose_rows(oracle, cfg)}
+        monkeypatch.setattr(reasonconf.oracle, "ENUMERATION_CAP", 1)
+        rows = decompose_rows(oracle, cfg)
+        # (est - I)^2 lies in [0, 1], so one trial's standard deviation is <= 0.5.
+        bound = 5 * 0.5 / math.sqrt(cfg.trials)
+        assert [row[0] for row in rows] == ["PC", "PPL", "SC"]
+        for method, _, _, _, total, is_exact in rows:
+            assert not is_exact
+            assert abs(total - exact[method]) < bound, method
+
+
+class TestWarnings:
+    def test_rpc_rows_past_the_cap_warn(self, caplog):
+        oracle = oracle_from_json(
+            {"path_probs": [0.3, 0.3, 0.4], "path_answers": ["A", "A", "B"], "truth": "A"}
+        )
+        cfg = RunConfig.from_doc(
+            {"methods": ["PC", "RPC"], "n_grid": [4, 20], "trials": 1000}
+        )
+        with caplog.at_level(logging.WARNING, logger="reasonconf"):
+            rows = decompose_rows(oracle, cfg)
+        assert [(row[0], row[1]) for row in rows] == [("PC", 4), ("PC", 20), ("RPC", 4)]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert "RPC" in messages[0] and "n=20" in messages[0]
+
+    def test_lenient_skips_warn(self, tmp_path, capsys, caplog):
+        good = json.dumps(
+            {"problem_id": "p1", "text": "a", "token_logprobs": [-0.2], "answer": "4"}
+        )
+        dest = tmp_path / "dirty.jsonl"
+        dest.write_text("\n".join([good, "not json", good, "{}", "[1]"]) + "\n")
+        with caplog.at_level(logging.WARNING, logger="reasonconf"):
+            assert main(["estimate", "--input", str(dest), "--lenient"]) == 0
+        out = capsys.readouterr().out
+        assert "skipped" not in out
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert "skipped 3 malformed line(s)" in messages[0]
+        assert messages[0].endswith("line(s) 2, 4, 5")

@@ -355,7 +355,7 @@ class TestRateFit:
         errors = [
             monte_carlo_estimation_error(
                 spec, "SC", label("A"), n, trials=20_000, seed=21
-            ).mean_sq_error
+            ).estimation_error
             for n in ns
         ]
         fit = RateFit.fit(ns, errors, "loglog")

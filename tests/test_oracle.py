@@ -273,7 +273,14 @@ class TestVoteEstimatorIsUnbiased:
 class TestMonteCarloAgreesWithEnumeration:
     @pytest.mark.parametrize(
         "kind,target",
-        [("SC", "A"), ("PC", "A"), ("PPL", "t0")],
+        [
+            ("SC", "A"),
+            ("PC", "A"),
+            ("PPL", "t0"),
+            ("PC", "B"),
+            ("SC", "C"),
+            ("PPL", "t2"),
+        ],
     )
     def test_mean_squared_error_within_five_stderr(self, kind, target):
         spec = oracle([0.5, 0.25, 0.25], ["A", "A", "B"], "A")
@@ -282,7 +289,11 @@ class TestMonteCarloAgreesWithEnumeration:
         mc = monte_carlo_estimation_error(
             spec, kind, label(target), 4, trials=100_000, seed=19
         )
-        assert abs(mc.mean_sq_error - enum.estimation_error) < 5 * mc.stderr
+        # An absent answer has zero error and zero standard error.
+        assert abs(mc.estimation_error - enum.estimation_error) <= 5 * mc.stderr
+        assert mc.true_prob == pytest.approx(enum.true_prob, abs=1e-15)
+        assert mc.is_correct == enum.is_correct
+        assert mc.model_error == pytest.approx(enum.model_error, abs=1e-15)
 
     def test_object_path_agrees_with_count_path(self):
         # The vectorized count route and the object route draw different
@@ -302,7 +313,7 @@ class TestMonteCarloAgreesWithEnumeration:
             spec, "SC", label("A"), 4, trials=trials, seed=98
         )
         pooled = math.hypot(slow_err, fast.stderr)
-        assert abs(slow_mean - fast.mean_sq_error) < 5 * pooled
+        assert abs(slow_mean - fast.estimation_error) < 5 * pooled
 
 
 class TestDeriveSeed:
