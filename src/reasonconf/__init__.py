@@ -28,7 +28,6 @@ from .paths import (
     SampleBatch,
     canonicalize_answer,
     derive_path_prob,
-    group_by_answer,
     make_path,
     select_answer,
     unique_paths,
@@ -63,7 +62,6 @@ from .pruning import (
     mixture_loglik,
     p_high,
     prune,
-    weibull_pdf,
 )
 from .error_analysis import (
     DegenerationDiagnostic,
@@ -92,7 +90,6 @@ from .metrics import (
 from .ingest import (
     PathRecord,
     ResultRow,
-    export_results,
     load_jsonl,
     load_records,
     render_results,

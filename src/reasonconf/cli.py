@@ -9,8 +9,6 @@ only written after the whole computation succeeds.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import os
@@ -42,7 +40,7 @@ from .error_analysis import (
     ppl_closed_form,
     sc_closed_form,
 )
-from .ingest import ResultRow, load_jsonl, render_results
+from .ingest import ResultRow, load_jsonl, render_csv, render_results
 from .metrics import ece, reliability_bins
 from .oracle import (
     OracleSpec,
@@ -142,17 +140,9 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
             for method in cfg.methods:
                 conf = estimate(method, batch, cfg.fit)
                 answer, value = selection_for_scoring(method, conf, batch)
-                correct = answer == oracle.truth
+                hit = 1.0 if answer == oracle.truth else 0.0
                 scored = min(1.0, max(0.0, value))
-                rows.append(
-                    (
-                        method,
-                        n,
-                        r,
-                        1.0 if correct else 0.0,
-                        abs(scored - (1.0 if correct else 0.0)),
-                    )
-                )
+                rows.append((method, n, r, hit, abs(scored - hit)))
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     return rows
 
@@ -161,7 +151,7 @@ def _convergence_target(oracle: OracleSpec, method: str) -> AnswerLabel:
     """The truth, or for PPL the first path carrying it (else path 0)."""
     if method != "PPL":
         return oracle.truth
-    paths = oracle.make_paths()
+    paths = oracle.paths
     for path in paths:
         if path.answer == oracle.truth:
             return path_identity(path)
@@ -343,26 +333,6 @@ def _fit_doc(fit) -> dict:
     }
 
 
-def _render_csv(header: Sequence[str], rows: Sequence[tuple], trailer=()) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    text = buf.getvalue()
-    for line in trailer:
-        text += line + "\n"
-    return text
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _emit(text: str, out: Optional[str]):
     if out is None:
         sys.stdout.write(text)
@@ -375,14 +345,14 @@ def _cmd_simulate(args) -> str:
     cfg = RunConfig.load(args.config, args.seed)
     oracle = load_oracle(args.oracle)
     rows = simulate_rows(oracle, cfg)
-    return _render_csv(("method", "n", "seed", "accuracy", "ece"), rows)
+    return render_csv(("method", "n", "seed", "accuracy", "ece"), rows)
 
 
 def _cmd_convergence(args) -> str:
     cfg = RunConfig.load(args.config, args.seed)
     oracle = load_oracle(args.oracle)
     rows, summaries = convergence_rows(oracle, cfg)
-    return _render_csv(
+    return render_csv(
         ("method", "n", "mc_est_err", "closed_form_est_err"), rows, summaries
     )
 
@@ -391,7 +361,7 @@ def _cmd_decompose(args) -> str:
     cfg = RunConfig.load(args.config, args.seed)
     oracle = load_oracle(args.oracle)
     rows = decompose_rows(oracle, cfg)
-    return _render_csv(
+    return render_csv(
         ("method", "n", "estimation_error", "model_error", "total", "exact"), rows
     )
 
@@ -401,9 +371,7 @@ def _cmd_estimate(args) -> str:
     batches = load_jsonl(args.input, cfg.prob_mode, strict=not args.lenient)
     rows, reports = estimate_rows(batches, cfg)
     if args.report is not None:
-        report_text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_text)
+        _emit(json.dumps(reports, indent=2, sort_keys=True) + "\n", args.report)
     return render_results(rows, args.format)
 
 
@@ -446,7 +414,7 @@ def _cmd_metrics(args) -> str:
         },
     }
     if args.format == "csv":
-        return _render_csv(
+        return render_csv(
             ("bin_low", "bin_high", "count", "mean_confidence", "empirical_accuracy"),
             [
                 (bins.edges[i], bins.edges[i + 1], bins.counts[i],

@@ -267,7 +267,7 @@ def monte_carlo_estimation_error(
     if kind in ("SC", "PC"):
         labels = oracle.path_answers
     elif kind == "PPL":
-        labels = [path_identity(p) for p in oracle.make_paths()]
+        labels = [path_identity(p) for p in oracle.paths]
     else:
         raise ValueError(f"no fast Monte Carlo route for estimator {kind!r}")
     indices, true_p, is_correct = target_paths(oracle, labels, target)

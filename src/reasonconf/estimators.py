@@ -7,7 +7,7 @@ survives reasoning pruning.
 
 from __future__ import annotations
 
-from typing import Dict, Literal, Tuple
+from typing import Dict, Iterable, Literal, Tuple
 
 from .errors import ReasonConfError
 from .paths import (
@@ -56,13 +56,18 @@ def ppl_confidence(batch: SampleBatch) -> ConfidenceMap:
     return ConfidenceMap(entries=entries, kind="PPL")
 
 
+def _answer_sums(paths: Iterable[ReasoningPath]) -> Dict[AnswerLabel, float]:
+    """Per answer, the sum of the given paths' probabilities, in path order."""
+    entries: Dict[AnswerLabel, float] = {}
+    for path in paths:
+        entries[path.answer] = entries.get(path.answer, 0.0) + path.path_prob
+    return entries
+
+
 def pc_confidence(batch: SampleBatch) -> ConfidenceMap:
     """Per answer, the sum of probabilities of unique paths mapping to it."""
     batch.require_nonempty()
-    entries: Dict[AnswerLabel, float] = {}
-    for path in unique_paths(batch):
-        entries[path.answer] = entries.get(path.answer, 0.0) + path.path_prob
-    return ConfidenceMap(entries=entries, kind="PC")
+    return ConfidenceMap(entries=_answer_sums(unique_paths(batch)), kind="PC")
 
 
 def rpc_confidence(
@@ -77,12 +82,8 @@ def rpc_confidence(
     batch.require_nonempty()
     uniques = unique_paths(batch)
     report = prune([p.path_prob for p in uniques], config)
-    retained = set(report.retained_indices)
-    entries: Dict[AnswerLabel, float] = {}
-    for i, path in enumerate(uniques):
-        if i in retained:
-            entries[path.answer] = entries.get(path.answer, 0.0) + path.path_prob
-    return ConfidenceMap(entries=entries, kind="RPC"), report
+    retained = (uniques[i] for i in report.retained_indices)
+    return ConfidenceMap(entries=_answer_sums(retained), kind="RPC"), report
 
 
 def estimate(

@@ -16,6 +16,8 @@ import csv
 import io
 import json
 import logging
+import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -32,6 +34,8 @@ logger = logging.getLogger(__name__)
 
 _REQUIRED_KEYS = ("problem_id", "text", "token_logprobs", "answer")
 _OPTIONAL_KEYS = ("class_id", "ext_score")
+# Exact types, so JSON true/false (a bool is an int subclass) are rejected.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -73,35 +77,52 @@ def parse_record(obj: dict, line_no: int) -> PathRecord:
     logprobs = obj["token_logprobs"]
     if not isinstance(logprobs, list) or len(logprobs) == 0:
         raise ParseError(line_no, "token_logprobs must be a non-empty array")
-    values = []
-    for lp in logprobs:
-        if not isinstance(lp, (int, float)):
-            raise ParseError(line_no, f"token log-prob {lp!r} is not a number")
-        if lp > 0:
-            raise ParseError(line_no, f"token log-prob {lp} is positive")
-        values.append(float(lp))
+    try:
+        # NaN or an infinity makes the sum non-finite (inf + -inf raises
+        # ValueError); an int past the float range raises OverflowError, and
+        # so does a sum past it, which valid tokens can reach: the per-token
+        # search below then finds no culprit and the record stands.
+        valid = (
+            set(map(type, logprobs)) <= _NUMBER_TYPES
+            and max(logprobs) <= 0
+            and math.isfinite(math.fsum(logprobs))
+        )
+    except (ValueError, OverflowError):
+        valid = False
+    bad = [] if valid else [v for v in logprobs if not _is_logprob(v)]
+    if bad:
+        raise ParseError(line_no, f"token log-prob {bad[0]!r} is not a finite number <= 0")
 
     answer = obj["answer"]
     if not isinstance(answer, str) or not answer.strip():
         raise ParseError(line_no, "answer must be a non-empty string")
 
     class_id = obj.get("class_id")
-    if class_id is not None and not isinstance(class_id, int):
+    if class_id is not None and type(class_id) is not int:
         raise ParseError(line_no, f"class_id {class_id!r} is not an integer")
     ext_score = obj.get("ext_score")
     if ext_score is not None:
-        if not isinstance(ext_score, (int, float)) or not (0.0 <= ext_score <= 1.0):
+        if type(ext_score) not in _NUMBER_TYPES or not (0.0 <= ext_score <= 1.0):
             raise ParseError(line_no, f"ext_score {ext_score!r} outside [0, 1]")
         ext_score = float(ext_score)
 
     return PathRecord(
         problem_id=str(obj["problem_id"]),
         text=str(obj["text"]),
-        token_logprobs=tuple(values),
+        token_logprobs=tuple(map(float, logprobs)),
         answer=answer,
         class_id=class_id,
         ext_score=ext_score,
     )
+
+
+def _is_logprob(value) -> bool:
+    """A non-bool int or float that is a finite float <= 0."""
+    try:
+        finite = type(value) in _NUMBER_TYPES and math.isfinite(float(value))
+        return finite and value <= 0
+    except OverflowError:
+        return False
 
 
 def record_to_path(record: PathRecord, mode: ProbMode) -> ReasoningPath:
@@ -129,8 +150,10 @@ def load_records(path: str, strict: bool = True) -> List[PathRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
+            except ValueError as exc:
+                # JSONDecodeError, or an integer past Python's digit limit.
+                detail = getattr(exc, "msg", str(exc))
+                problems.append(ParseError(line_no, f"invalid JSON: {detail}"))
                 continue
             try:
                 records.append(parse_record(obj, line_no))
@@ -186,43 +209,36 @@ class ResultRow:
 
 RESULT_FIELDS = ("problem_id", "method", "n", "selected_answer", "confidence", "correct")
 
+_result_values = operator.attrgetter(*RESULT_FIELDS)
+
+
+def render_csv(header: Sequence[str], rows: Sequence[tuple], trailer=()) -> str:
+    """CSV, floats by ``repr`` and booleans as true/false, then ``trailer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(v) for v in row])
+    text = buf.getvalue()
+    for line in trailer:
+        text += line + "\n"
+    return text
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
 
 def render_results(rows: Sequence[ResultRow], format: str) -> str:
     """Deterministic text rendering; identical inputs give identical bytes."""
+    table = [_result_values(row) for row in rows]
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RESULT_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.problem_id,
-                    row.method,
-                    row.n,
-                    row.selected_answer,
-                    repr(row.confidence),
-                    "true" if row.correct else "false",
-                ]
-            )
-        return buf.getvalue()
+        return render_csv(RESULT_FIELDS, table)
     if format == "json":
-        objs = [
-            {
-                "problem_id": row.problem_id,
-                "method": row.method,
-                "n": row.n,
-                "selected_answer": row.selected_answer,
-                "confidence": row.confidence,
-                "correct": row.correct,
-            }
-            for row in rows
-        ]
+        objs = [dict(zip(RESULT_FIELDS, values)) for values in table]
         return json.dumps(objs, indent=2) + "\n"
     raise ReasonConfError(f"unknown export format {format!r}")
-
-
-def export_results(rows: Sequence[ResultRow], dest: str, format: str = "csv"):
-    """Write rows to ``dest``; the file only appears if rendering succeeds."""
-    text = render_results(rows, format)
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)

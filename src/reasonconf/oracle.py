@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -58,8 +59,9 @@ class OracleSpec:
     def num_paths(self) -> int:
         return len(self.path_probs)
 
-    def make_paths(self) -> Tuple[ReasoningPath, ...]:
-        """Materialize one ReasoningPath per abstract path.
+    @cached_property
+    def paths(self) -> Tuple[ReasoningPath, ...]:
+        """One ReasoningPath per abstract path, built once per oracle.
 
         Texts are unique per index, so text-dedup coincides with abstract
         path identity.  The carried path_prob is the exact sampling
@@ -131,7 +133,7 @@ def sample_batch(oracle: OracleSpec, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise InvalidSampleSizeError(f"sample size must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    paths = oracle.make_paths()
+    paths = oracle.paths
     idx = rng.choice(oracle.num_paths, size=n, p=np.asarray(oracle.path_probs))
     return SampleBatch(paths=tuple(paths[i] for i in idx), problem_id="oracle")
 
@@ -234,7 +236,7 @@ def exact_estimator_moments(
             f"{m}^{n} ordered outcomes exceed the cap of {ENUMERATION_CAP}"
         )
 
-    paths = oracle.make_paths()
+    paths = oracle.paths
     keys = [_estimator_key(estimator, path) for path in paths]
     _, true_prob, is_correct = target_paths(oracle, keys, target)
     ind = 1.0 if is_correct else 0.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 from .errors import EmptyBatchError, InvalidPathError, NoCandidatesError
 
@@ -177,16 +177,6 @@ def unique_paths(batch: SampleBatch) -> List[ReasoningPath]:
             seen.add(path.text)
             out.append(path)
     return out
-
-
-def group_by_answer(
-    paths: Iterable[ReasoningPath],
-) -> Dict[AnswerLabel, List[ReasoningPath]]:
-    """Partition paths by answer label, groups ordered by first occurrence."""
-    groups: Dict[AnswerLabel, List[ReasoningPath]] = {}
-    for path in paths:
-        groups.setdefault(path.answer, []).append(path)
-    return groups
 
 
 def select_answer(conf: ConfidenceMap) -> Tuple[AnswerLabel, float]:

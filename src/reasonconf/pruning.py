@@ -94,17 +94,6 @@ class MixtureFit:
     def high(self) -> WeibullParams:
         return self.comp1 if self.high_index == 1 else self.comp2
 
-    @property
-    def w_high(self) -> float:
-        return self.w1 if self.high_index == 1 else self.w2
-
-    def pdf(self, x):
-        """Mixture density w1*f1 + w2*f2, vectorized over x > 0."""
-        x = np.asarray(x, dtype=float)
-        return self.w1 * _weibull_pdf_arr(x, self.comp1) + self.w2 * _weibull_pdf_arr(
-            x, self.comp2
-        )
-
 
 @dataclass(frozen=True)
 class PruningReport:
@@ -117,22 +106,18 @@ class PruningReport:
     mean_threshold: float
 
 
-def weibull_pdf(x: float, params: WeibullParams) -> float:
-    """Density (k/lam) * (x/lam)^(k-1) * exp(-(x/lam)^k) for x > 0."""
-    if x <= 0:
-        raise DomainError(f"Weibull density requires x > 0, got {x}")
-    return float(_weibull_pdf_arr(np.asarray([x], dtype=float), params)[0])
-
-
-def _weibull_logpdf_arr(x: np.ndarray, params: WeibullParams) -> np.ndarray:
-    k, lam = params.shape, params.scale
-    log_ratio = np.log(x) - math.log(lam)
-    z = np.exp(np.minimum(k * log_ratio, _EXP_CAP))
-    return math.log(k) - math.log(lam) + (k - 1.0) * log_ratio - z
-
-
-def _weibull_pdf_arr(x: np.ndarray, params: WeibullParams) -> np.ndarray:
-    return np.exp(_weibull_logpdf_arr(x, params))
+def _log_joint(
+    log_x: np.ndarray, w1: float, w2: float, comp1: WeibullParams, comp2: WeibullParams
+):
+    """[log(w1 f1(x)), log(w2 f2(x))] for the Weibull densities f1, f2."""
+    # log(w f(x)) = log w + log k - k log lam + (k-1) ln x - (x/lam)^k
+    out = []
+    for w, comp in ((w1, comp1), (w2, comp2)):
+        k, log_lam = comp.shape, math.log(comp.scale)
+        z = np.exp(np.minimum(k * (log_x - log_lam), _EXP_CAP))
+        const = math.log(w) + math.log(k) - k * log_lam
+        out.append(const + (k - 1.0) * log_x - z)
+    return out
 
 
 def _moment_init(x: np.ndarray) -> WeibullParams:
@@ -263,16 +248,6 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
     ws = _ShapeWorkspace(log_x)
     lo_w, hi_w = config.weight_bounds
 
-    def log_joint(w1: float, comp1: WeibullParams, comp2: WeibullParams):
-        # log(w f(x)) = log w + log k - k log lam + (k-1) ln x - (x/lam)^k
-        out = []
-        for w, comp in ((w1, comp1), (1.0 - w1, comp2)):
-            k, log_lam = comp.shape, math.log(comp.scale)
-            z = np.exp(np.minimum(k * (log_x - log_lam), _EXP_CAP))
-            const = math.log(w) + math.log(k) - k * log_lam
-            out.append(const + (k - 1.0) * log_x - z)
-        return out
-
     order = np.argsort(x, kind="stable")
     half = x.size // 2
     comp1 = _moment_init(x[order[:half]])
@@ -284,7 +259,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
-        l1, l2 = log_joint(w1, comp1, comp2)
+        l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
         norm = np.logaddexp(l1, l2)
         new_loglik = float(norm.sum())
 
@@ -310,7 +285,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
             break
         loglik = new_loglik
 
-    l1, l2 = log_joint(w1, comp1, comp2)
+    l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
     loglik = float(np.logaddexp(l1, l2).sum())
 
     lm1, lm2 = comp1.log_mean(), comp2.log_mean()
@@ -335,15 +310,13 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
 
 def mixture_loglik(probs: Sequence[float], fit: MixtureFit) -> float:
     """Log-likelihood of data under an already-specified mixture."""
-    x = np.asarray(list(probs), dtype=float)
-    l1 = math.log(fit.w1) + _weibull_logpdf_arr(x, fit.comp1)
-    l2 = math.log(fit.w2) + _weibull_logpdf_arr(x, fit.comp2)
-    return float(np.sum(np.logaddexp(l1, l2)))
+    log_x = np.log(np.asarray(list(probs), dtype=float))
+    l1, l2 = _log_joint(log_x, fit.w1, fit.w2, fit.comp1, fit.comp2)
+    return float(np.logaddexp(l1, l2).sum())
 
 
 def _p_high_arr(x: np.ndarray, fit: MixtureFit) -> np.ndarray:
-    l1 = math.log(fit.w1) + _weibull_logpdf_arr(x, fit.comp1)
-    l2 = math.log(fit.w2) + _weibull_logpdf_arr(x, fit.comp2)
+    l1, l2 = _log_joint(np.log(x), fit.w1, fit.w2, fit.comp1, fit.comp2)
     l_high = l1 if fit.high_index == 1 else l2
     shift = np.maximum(l1, l2)
     with np.errstate(invalid="ignore"):

@@ -1,15 +1,17 @@
 """JSONL ingestion and deterministic export."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reasonconf import (
     ParseError,
     ReasonConfError,
     ResultRow,
     derive_path_prob,
-    export_results,
     load_jsonl,
     load_records,
     render_results,
@@ -157,6 +159,70 @@ class TestParseRecord:
         with pytest.raises(ParseError):
             parse_record(obj, 1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("token_logprobs", [-0.1, float("nan")]),
+            ("token_logprobs", [float("-inf"), -0.2]),
+            ("token_logprobs", [float("inf"), float("-inf")]),
+            ("token_logprobs", [-0.1, False]),
+            ("token_logprobs", [True]),
+            ("token_logprobs", [-(10**400)]),
+            ("token_logprobs", [-0.3, "-0.1"]),
+            ("class_id", True),
+            ("ext_score", True),
+        ],
+    )
+    def test_non_finite_bool_or_non_number_rejected(self, tmp_path, field, value):
+        # Each record reaches parse_record through the JSON decoder, so
+        # NaN and the infinities arrive as the tokens NaN/Infinity.
+        bad = GOOD + [dict(GOOD[0], **{field: value})]
+        with pytest.raises(ReasonConfError, match="line 4"):
+            load_records(write_jsonl(tmp_path, bad))
+        assert len(load_records(write_jsonl(tmp_path, bad), strict=False)) == 3
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        dest = tmp_path / "huge.jsonl"
+        good = json.dumps(GOOD[0])
+        huge = good.replace("-0.2", "-" + "9" * 5000)
+        dest.write_text(good + "\n" + huge + "\n")
+        with pytest.raises(ReasonConfError, match="line 2"):
+            load_records(str(dest))
+        assert len(load_records(str(dest), strict=False)) == 1
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.integers(),
+                st.integers(min_value=-(10**320), max_value=-(10**300)),
+                st.booleans(),
+                st.none(),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_accepted_exactly_when_every_token_is_a_finite_number_at_most_zero(
+        self, tokens
+    ):
+        def acceptable(token):
+            if type(token) not in (int, float):
+                return False
+            try:
+                return math.isfinite(float(token)) and token <= 0
+            except OverflowError:
+                return False
+
+        obj = json.loads(json.dumps(dict(GOOD[0], token_logprobs=tokens)))
+        if all(acceptable(t) for t in tokens):
+            record = parse_record(obj, 1)
+            assert record.token_logprobs == tuple(float(t) for t in tokens)
+            assert parse_record(record.to_json_obj(), 1) == record
+        else:
+            with pytest.raises(ParseError):
+                parse_record(obj, 1)
+
     def test_round_trip_is_lossless(self, tmp_path):
         source = write_jsonl(tmp_path, GOOD)
         records = load_records(source)
@@ -196,11 +262,11 @@ class TestExport:
             "correct",
         ]
 
-    def test_bytes_identical_across_runs(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_results(ROWS, str(a), "csv")
-        export_results(ROWS, str(b), "csv")
-        assert a.read_bytes() == b.read_bytes()
+    def test_bytes_identical_across_runs(self):
+        for fmt in ("csv", "json"):
+            a = render_results(ROWS, fmt).encode("utf-8")
+            b = render_results(list(ROWS), fmt).encode("utf-8")
+            assert a == b
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ReasonConfError):

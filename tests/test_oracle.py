@@ -168,7 +168,7 @@ _ESTIMATORS = {
 def _ordered_outcomes(spec, n, estimator):
     """Reference enumeration: every one of the M^n ordered outcomes, with
     its probability and the estimator's full confidence map."""
-    paths = spec.make_paths()
+    paths = spec.paths
     weights, confs = [], []
     for idx in itertools.product(range(spec.num_paths), repeat=n):
         weights.append(math.prod(spec.path_probs[i] for i in idx))

@@ -14,7 +14,6 @@ from reasonconf import (
     ReasoningPath,
     canonicalize_answer,
     derive_path_prob,
-    group_by_answer,
     select_answer,
     unique_paths,
 )
@@ -140,30 +139,6 @@ class TestUniquePaths:
             type(b)(paths=tuple(once), problem_id=b.problem_id)
         )
         assert [p.text for p in again] == [p.text for p in once]
-
-
-class TestGroupByAnswer:
-    def test_basic_grouping(self):
-        b = batch(("t1", 0.3, "A"), ("t2", 0.2, "A"), ("t3", 0.1, "B"))
-        groups = group_by_answer(b.paths)
-        assert [p.text for p in groups[label("A")]] == ["t1", "t2"]
-        assert [p.text for p in groups[label("B")]] == ["t3"]
-
-    def test_empty_input(self):
-        assert group_by_answer([]) == {}
-
-    def test_single_path(self):
-        b = batch(("t1", 0.3, "A"))
-        assert [p.text for p in group_by_answer(b.paths)[label("A")]] == ["t1"]
-
-    def test_partitions_input(self):
-        b = batch(
-            ("t1", 0.3, "A"), ("t2", 0.2, "B"), ("t3", 0.1, "A"), ("t4", 0.1, "C")
-        )
-        groups = group_by_answer(b.paths)
-        flattened = [p for group in groups.values() for p in group]
-        assert sorted(p.text for p in flattened) == ["t1", "t2", "t3", "t4"]
-        assert all(p.answer == ans for ans, group in groups.items() for p in group)
 
 
 class TestSelectAnswer:

@@ -20,7 +20,6 @@ from reasonconf import (
     mixture_loglik,
     p_high,
     prune,
-    weibull_pdf,
 )
 
 
@@ -45,33 +44,39 @@ TRUE_BIMODAL = MixtureFit(
 )
 
 
+def single_weibull(k: float, lam: float) -> MixtureFit:
+    """A mixture whose two components are the same Weibull W(k, lam)."""
+    comp = WeibullParams(k, lam)
+    return MixtureFit(
+        comp1=comp, comp2=comp, w1=0.5, w2=0.5, high_index=1, loglik=0.0, converged=True
+    )
+
+
+def density(x: float, fit: MixtureFit) -> float:
+    return math.exp(mixture_loglik([x], fit))
+
+
 class TestWeibullPdf:
     def test_exponential_special_case(self):
-        assert weibull_pdf(1.0, WeibullParams(1.0, 1.0)) == pytest.approx(
+        assert density(1.0, single_weibull(1.0, 1.0)) == pytest.approx(
             math.exp(-1.0), abs=1e-12
         )
 
     def test_shape_two(self):
-        assert weibull_pdf(1.0, WeibullParams(2.0, 1.0)) == pytest.approx(
+        assert density(1.0, single_weibull(2.0, 1.0)) == pytest.approx(
             2.0 * math.exp(-1.0), abs=1e-12
         )
 
     @pytest.mark.parametrize("k,lam", [(0.7, 0.2), (1.0, 0.5), (3.0, 0.9)])
     def test_at_scale_point(self, k, lam):
-        assert weibull_pdf(lam, WeibullParams(k, lam)) == pytest.approx(
+        assert density(lam, single_weibull(k, lam)) == pytest.approx(
             (k / lam) * math.exp(-1.0), rel=1e-12
         )
-
-    def test_nonpositive_input_rejected(self):
-        with pytest.raises(DomainError):
-            weibull_pdf(0.0, WeibullParams(1.0, 1.0))
-        with pytest.raises(DomainError):
-            weibull_pdf(-0.5, WeibullParams(1.0, 1.0))
 
     @pytest.mark.parametrize("k,lam", [(0.5, 0.3), (2.0, 0.8), (1.5, 0.1)])
     def test_agrees_with_scipy(self, k, lam):
         xs = np.linspace(0.01, 1.5, 40)
-        ours = [weibull_pdf(float(x), WeibullParams(k, lam)) for x in xs]
+        ours = [density(float(x), single_weibull(k, lam)) for x in xs]
         ref = weibull_min.pdf(xs, c=k, scale=lam)
         np.testing.assert_allclose(ours, ref, rtol=1e-10)
 
@@ -122,6 +127,12 @@ class TestFitMixture:
         single = float(np.sum(weibull_min.logpdf(values, c=k_hat, scale=lam_hat)))
         assert fit.loglik >= single - 1e-6 * len(values)
 
+    @pytest.mark.parametrize("seed", [0, 4, 123])
+    def test_loglik_is_mixture_loglik_bit_for_bit(self, seed):
+        values, _ = bimodal_sample(seed=seed, n=64)
+        fit = fit_mixture(values.tolist())
+        assert fit.loglik == mixture_loglik(values.tolist(), fit)
+
     def test_deterministic_bit_for_bit(self):
         values, _ = bimodal_sample(seed=4)
         a = fit_mixture(values.tolist())
@@ -159,9 +170,7 @@ class TestFitMixture:
     def test_mixture_pdf_integrates_to_one(self, seed):
         values, _ = bimodal_sample(seed=seed, n=64)
         fit = fit_mixture(values.tolist())
-        total, err = quad(
-            lambda x: float(fit.pdf(x)), 0.0, np.inf, limit=200
-        )
+        total, err = quad(lambda x: density(x, fit), 0.0, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_values_above_one_accepted(self):
