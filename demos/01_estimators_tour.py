@@ -8,8 +8,6 @@ paths (PC), and the probability sums after low-probability paths are pruned
 (RPC).
 """
 
-import math
-
 from reasonconf import (
     AnswerLabel,
     ReasoningPath,
@@ -21,12 +19,7 @@ from reasonconf import (
 
 
 def path(text, prob, answer):
-    return ReasoningPath(
-        text=text,
-        token_logprobs=(math.log(prob),),
-        answer=AnswerLabel(answer),
-        path_prob=prob,
-    )
+    return ReasoningPath(text=text, answer=AnswerLabel(answer), path_prob=prob)
 
 
 # Eight samples for one problem. The answer "42" is backed by two strong

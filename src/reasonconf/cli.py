@@ -41,7 +41,7 @@ from .error_analysis import (
     sc_closed_form,
 )
 from .ingest import ResultRow, load_jsonl, render_csv, render_results
-from .metrics import ece, reliability_bins
+from .metrics import reliability_bins
 from .oracle import (
     OracleSpec,
     derive_seed,
@@ -405,7 +405,7 @@ def _cmd_metrics(args) -> str:
     bins = reliability_bins(scored, cfg.bins)
     doc = {
         "accuracy": acc,
-        "ece": ece(scored, cfg.bins),
+        "ece": bins.ece(),
         "bins": {
             "edges": list(bins.edges),
             "counts": list(bins.counts),

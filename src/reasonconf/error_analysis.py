@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import AssumptionError, DomainError, EmptyInputError
 from .estimators import path_identity
-from .oracle import OracleSpec, sample_count_matrix, target_paths, true_answer_prob
+from .oracle import (
+    OracleSpec,
+    TargetErrors,
+    indicator,
+    sample_count_matrix,
+    target_paths,
+    true_answer_prob,
+)
 from .paths import AnswerLabel
 
 Regime = Literal["exponential", "linear"]
@@ -40,10 +47,6 @@ class ErrorBreakdown:
         return self.estimation_error + self.model_error
 
 
-def _indicator(is_correct: bool) -> float:
-    return 1.0 if is_correct else 0.0
-
-
 def sc_closed_form(p: float, n: int, is_correct: bool) -> ErrorBreakdown:
     """Vote-fraction estimator: estimation p(1-p)/n, model (p - I)^2.
 
@@ -52,7 +55,7 @@ def sc_closed_form(p: float, n: int, is_correct: bool) -> ErrorBreakdown:
     """
     _check_prob(p)
     _check_n(n)
-    ind = _indicator(is_correct)
+    ind = indicator(is_correct)
     return ErrorBreakdown(
         estimation_error=p * (1.0 - p) / n,
         model_error=(p - ind) ** 2,
@@ -68,7 +71,7 @@ def ppl_closed_form(p_path: float, n: int, is_correct: bool) -> ErrorBreakdown:
     """
     _check_prob(p_path)
     _check_n(n)
-    ind = _indicator(is_correct)
+    ind = indicator(is_correct)
     est = (1.0 - p_path) ** n * p_path * (2.0 * ind - p_path)
     return ErrorBreakdown(estimation_error=est, model_error=(p_path - ind) ** 2)
 
@@ -89,7 +92,7 @@ def pc_closed_form(
         raise DomainError(f"k must be a positive integer, got {k}")
     if p_answer / k > 1.0:
         raise DomainError(f"p/k = {p_answer / k} exceeds 1")
-    ind = _indicator(is_correct)
+    ind = indicator(is_correct)
     alpha_n = (1.0 - p_answer / k) ** n
     est = alpha_n * p_answer * (2.0 * ind - (1.0 + alpha_n) * p_answer)
     return ErrorBreakdown(estimation_error=est, model_error=(p_answer - ind) ** 2)
@@ -226,25 +229,15 @@ def model_error_comparison(
 
 
 @dataclass(frozen=True)
-class MCErrorEstimate:
-    """Monte Carlo counterpart of ``OutcomeEnumeration``, with its names.
+class MCErrorEstimate(TargetErrors):
+    """Monte Carlo counterpart of ``OutcomeEnumeration``.
 
-    ``estimation_error`` and ``reasoning_error`` are the means of
-    (est - p)^2 and (est - I)^2 over the same trials, where p is the
-    target's exact ``true_prob`` and I is ``is_correct``; ``stderr`` is
-    the standard error of ``estimation_error``.
+    ``estimation_error`` and ``reasoning_error`` are means over the same
+    trials; ``stderr`` is the standard error of ``estimation_error``.
     """
 
-    estimation_error: float
-    reasoning_error: float
-    true_prob: float
-    is_correct: bool
     stderr: float
     trials: int
-
-    @property
-    def model_error(self) -> float:
-        return (self.true_prob - _indicator(self.is_correct)) ** 2
 
 
 def monte_carlo_estimation_error(
@@ -279,10 +272,10 @@ def monte_carlo_estimation_error(
         estimates = ((counts > 0) * np.asarray(oracle.path_probs)[idx]).sum(axis=1)
     sq = (estimates - true_p) ** 2
     return MCErrorEstimate(
-        estimation_error=float(np.mean(sq)),
-        reasoning_error=float(np.mean((estimates - _indicator(is_correct)) ** 2)),
         true_prob=true_p,
         is_correct=is_correct,
+        estimation_error=float(np.mean(sq)),
+        reasoning_error=float(np.mean((estimates - indicator(is_correct)) ** 2)),
         stderr=float(np.std(sq) / math.sqrt(trials)),
         trials=trials,
     )

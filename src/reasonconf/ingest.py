@@ -5,9 +5,10 @@ One record per line:
     {"problem_id": "p1", "text": "...", "token_logprobs": [-0.4, -1.2],
      "answer": "42", "class_id": 3, "ext_score": 0.8}
 
-``class_id`` and ``ext_score`` are optional.  Records are grouped into
-batches by problem id in file order; probabilities are derived in the
-configured mode.
+``class_id`` and ``ext_score`` are optional; ``ext_score`` is validated
+and then ignored.  Each line's token log-probs are summed once, at parse
+time.  Records are grouped into batches by problem id in file order;
+probabilities are derived in the configured mode.
 """
 
 from __future__ import annotations
@@ -40,27 +41,18 @@ _NUMBER_TYPES = frozenset((int, float))
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Wire form of one sampled path, before probability derivation."""
+    """One validated JSONL line, its token log-probs reduced to their sum.
+
+    ``logprob_sum`` is the exact sum of the ``n_tokens`` token log-probs,
+    or ``-inf`` when that sum lies past the float range.
+    """
 
     problem_id: str
     text: str
-    token_logprobs: tuple
+    logprob_sum: float
+    n_tokens: int
     answer: str
     class_id: Optional[int] = None
-    ext_score: Optional[float] = None
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "problem_id": self.problem_id,
-            "text": self.text,
-            "token_logprobs": list(self.token_logprobs),
-            "answer": self.answer,
-        }
-        if self.class_id is not None:
-            obj["class_id"] = self.class_id
-        if self.ext_score is not None:
-            obj["ext_score"] = self.ext_score
-        return obj
 
 
 def parse_record(obj: dict, line_no: int) -> PathRecord:
@@ -73,25 +65,28 @@ def parse_record(obj: dict, line_no: int) -> PathRecord:
     unknown = set(obj) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
     if unknown:
         raise ParseError(line_no, f"unknown fields {sorted(unknown)}")
+    for key in ("problem_id", "text"):
+        if not isinstance(obj[key], str):
+            raise ParseError(line_no, f"{key} {obj[key]!r} is not a string")
 
     logprobs = obj["token_logprobs"]
     if not isinstance(logprobs, list) or len(logprobs) == 0:
         raise ParseError(line_no, "token_logprobs must be a non-empty array")
+    logprob_sum = math.nan
     try:
         # NaN or an infinity makes the sum non-finite (inf + -inf raises
         # ValueError); an int past the float range raises OverflowError, and
-        # so does a sum past it, which valid tokens can reach: the per-token
-        # search below then finds no culprit and the record stands.
-        valid = (
-            set(map(type, logprobs)) <= _NUMBER_TYPES
-            and max(logprobs) <= 0
-            and math.isfinite(math.fsum(logprobs))
-        )
+        # so does a sum past it, which valid tokens can reach.
+        if set(map(type, logprobs)) <= _NUMBER_TYPES and max(logprobs) <= 0:
+            logprob_sum = math.fsum(logprobs)
     except (ValueError, OverflowError):
-        valid = False
-    bad = [] if valid else [v for v in logprobs if not _is_logprob(v)]
-    if bad:
-        raise ParseError(line_no, f"token log-prob {bad[0]!r} is not a finite number <= 0")
+        pass
+    if not math.isfinite(logprob_sum):
+        bad = [v for v in logprobs if not _is_logprob(v)]
+        if bad:
+            raise ParseError(line_no, f"token log-prob {bad[0]!r} is not a finite number <= 0")
+        # Every token is valid, so only their sum is past the float range.
+        logprob_sum = -math.inf
 
     answer = obj["answer"]
     if not isinstance(answer, str) or not answer.strip():
@@ -101,18 +96,18 @@ def parse_record(obj: dict, line_no: int) -> PathRecord:
     if class_id is not None and type(class_id) is not int:
         raise ParseError(line_no, f"class_id {class_id!r} is not an integer")
     ext_score = obj.get("ext_score")
-    if ext_score is not None:
-        if type(ext_score) not in _NUMBER_TYPES or not (0.0 <= ext_score <= 1.0):
-            raise ParseError(line_no, f"ext_score {ext_score!r} outside [0, 1]")
-        ext_score = float(ext_score)
+    if ext_score is not None and (
+        type(ext_score) not in _NUMBER_TYPES or not (0.0 <= ext_score <= 1.0)
+    ):
+        raise ParseError(line_no, f"ext_score {ext_score!r} outside [0, 1]")
 
     return PathRecord(
-        problem_id=str(obj["problem_id"]),
-        text=str(obj["text"]),
-        token_logprobs=tuple(map(float, logprobs)),
+        problem_id=obj["problem_id"],
+        text=obj["text"],
+        logprob_sum=logprob_sum,
+        n_tokens=len(logprobs),
         answer=answer,
         class_id=class_id,
-        ext_score=ext_score,
     )
 
 
@@ -123,16 +118,6 @@ def _is_logprob(value) -> bool:
         return finite and value <= 0
     except OverflowError:
         return False
-
-
-def record_to_path(record: PathRecord, mode: ProbMode) -> ReasoningPath:
-    return make_path(
-        text=record.text,
-        token_logprobs=record.token_logprobs,
-        answer=canonicalize_answer(record.answer, record.class_id),
-        mode=mode,
-        ext_score=record.ext_score,
-    )
 
 
 def load_records(path: str, strict: bool = True) -> List[PathRecord]:
@@ -186,8 +171,9 @@ def load_jsonl(
                 )
         else:
             has_class[record.problem_id] = carries
+        answer = canonicalize_answer(record.answer, record.class_id)
         grouped.setdefault(record.problem_id, []).append(
-            record_to_path(record, mode)
+            make_path(record.text, record.logprob_sum, record.n_tokens, answer, mode)
         )
     return {
         pid: SampleBatch(paths=tuple(paths), problem_id=pid)

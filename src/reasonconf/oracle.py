@@ -68,12 +68,7 @@ class OracleSpec:
         probability, not a value re-derived from log-probs.
         """
         return tuple(
-            ReasoningPath(
-                text=f"t{i}",
-                token_logprobs=(math.log(q),),
-                answer=a,
-                path_prob=q,
-            )
+            ReasoningPath(text=f"t{i}", answer=a, path_prob=q)
             for i, (q, a) in enumerate(zip(self.path_probs, self.path_answers))
         )
 
@@ -153,41 +148,52 @@ def sample_count_matrix(
     return rng.multinomial(n, np.asarray(oracle.path_probs), size=trials)
 
 
+def indicator(is_correct: bool) -> float:
+    """I, the correctness indicator of a target: 1.0 if correct, else 0.0."""
+    return 1.0 if is_correct else 0.0
+
+
 @dataclass(frozen=True)
-class OutcomeEnumeration:
-    """Exact moments of an estimator over every sample count vector.
+class TargetErrors:
+    """An estimator's squared errors for one target, on either route.
 
-    ``outcome_probs`` and ``outcome_values`` hold one entry per distinct
-    count vector (how many of the n draws landed on each path): its
-    multinomial probability and the estimator's value on it.
-
-    ``estimation_error`` is the mean squared deviation from the true
-    confidence, E[(est - p)^2].  ``reasoning_error`` is the mean squared
-    deviation from the correctness indicator, E[(est - I)^2].  For a biased
-    estimator the two are linked through the signed residual
-    ``decomposition_estimation_error`` = reasoning_error - model_error,
-    which is what the closed forms for the probability-sum estimators call
-    their estimation term.
+    ``true_prob`` is the target's exact probability p and ``is_correct``
+    its correctness I.  ``estimation_error`` is the mean squared deviation
+    from the true confidence, E[(est - p)^2]; ``reasoning_error`` is the
+    mean squared deviation from correctness, E[(est - I)^2];
+    ``model_error`` is (p - I)^2.
     """
 
-    outcome_probs: Tuple[float, ...]
-    outcome_values: Tuple[float, ...]
-    expectation: float
-    second_moment: float
     true_prob: float
     is_correct: bool
     estimation_error: float
     reasoning_error: float
 
+    @property
+    def model_error(self) -> float:
+        return (self.true_prob - indicator(self.is_correct)) ** 2
+
+
+@dataclass(frozen=True)
+class OutcomeEnumeration(TargetErrors):
+    """Exact moments of an estimator over every sample count vector.
+
+    ``outcome_probs`` holds the multinomial probability of each distinct
+    count vector (how many of the n draws landed on each path).  For a
+    biased estimator ``estimation_error`` and ``reasoning_error`` are
+    linked through the signed residual ``decomposition_estimation_error``
+    = reasoning_error - model_error, which is what the closed forms for
+    the probability-sum estimators call their estimation term.
+    """
+
+    outcome_probs: Tuple[float, ...]
+    expectation: float
+    second_moment: float
+
     def __post_init__(self):
         total = math.fsum(self.outcome_probs)
         if abs(total - 1.0) > 1e-9:
             raise ReasonConfError(f"outcome probabilities sum to {total}, not 1")
-
-    @property
-    def model_error(self) -> float:
-        ind = 1.0 if self.is_correct else 0.0
-        return (self.true_prob - ind) ** 2
 
     @property
     def decomposition_estimation_error(self) -> float:
@@ -239,10 +245,10 @@ def exact_estimator_moments(
     paths = oracle.paths
     keys = [_estimator_key(estimator, path) for path in paths]
     _, true_prob, is_correct = target_paths(oracle, keys, target)
-    ind = 1.0 if is_correct else 0.0
+    ind = indicator(is_correct)
 
     outcome_probs: List[float] = []
-    outcome_values: List[float] = []
+    values: List[float] = []
     for idx in combinations_with_replacement(range(m), n):
         orderings = math.factorial(n)
         for i in range(m):
@@ -251,25 +257,24 @@ def exact_estimator_moments(
         batch = SampleBatch(paths=tuple(paths[i] for i in idx), problem_id="enum")
         conf = estimator(batch)
         outcome_probs.append(weight)
-        outcome_values.append(conf.entries.get(target, 0.0))
+        values.append(conf.entries.get(target, 0.0))
 
-    expectation = math.fsum(p * v for p, v in zip(outcome_probs, outcome_values))
-    second = math.fsum(p * v * v for p, v in zip(outcome_probs, outcome_values))
+    expectation = math.fsum(p * v for p, v in zip(outcome_probs, values))
+    second = math.fsum(p * v * v for p, v in zip(outcome_probs, values))
     estimation = math.fsum(
-        p * (v - true_prob) ** 2 for p, v in zip(outcome_probs, outcome_values)
+        p * (v - true_prob) ** 2 for p, v in zip(outcome_probs, values)
     )
     reasoning = math.fsum(
-        p * (v - ind) ** 2 for p, v in zip(outcome_probs, outcome_values)
+        p * (v - ind) ** 2 for p, v in zip(outcome_probs, values)
     )
     return OutcomeEnumeration(
-        outcome_probs=tuple(outcome_probs),
-        outcome_values=tuple(outcome_values),
-        expectation=expectation,
-        second_moment=second,
         true_prob=true_prob,
         is_correct=is_correct,
         estimation_error=estimation,
         reasoning_error=reasoning,
+        outcome_probs=tuple(outcome_probs),
+        expectation=expectation,
+        second_moment=second,
     )
 
 

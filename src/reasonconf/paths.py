@@ -1,8 +1,9 @@
 """Core types for sampled reasoning paths and answer-level confidence.
 
-A sampled path carries its text, per-token natural-log probabilities, the
-extracted answer label, and a derived scalar probability.  Batches preserve
-sampling order, which is the tie-breaking order everywhere downstream.
+A sampled path carries its text, the extracted answer label, and one
+scalar probability; ingested paths derive it from their token log-probs.
+Batches preserve sampling order, which is the tie-breaking order
+everywhere downstream.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, List, Literal, Optional, Tuple
 
 from .errors import EmptyBatchError, InvalidPathError, NoCandidatesError
 
@@ -77,61 +78,45 @@ class ReasoningPath:
     """One sampled reasoning path.
 
     ``path_prob`` is the scalar probability attached to the path; ingested
-    paths derive it from the token log-probs via :func:`derive_path_prob`,
-    synthetic paths carry their exact sampling probability.  ``ext_score``
-    is a reserved slot for an externally supplied score in [0, 1]; no
-    estimator reads it.
+    paths derive it from their token log-probs via :func:`make_path`,
+    synthetic paths carry their exact sampling probability.
     """
 
     text: str
-    token_logprobs: Tuple[float, ...]
     answer: AnswerLabel
     path_prob: float
-    ext_score: Optional[float] = None
 
     def __post_init__(self):
-        if len(self.token_logprobs) == 0:
-            raise InvalidPathError("token_logprobs is empty")
         if not (0.0 < self.path_prob <= 1.0):
             raise InvalidPathError(f"path_prob {self.path_prob} outside (0, 1]")
-        if self.ext_score is not None and not (0.0 <= self.ext_score <= 1.0):
-            raise InvalidPathError(f"ext_score {self.ext_score} outside [0, 1]")
 
 
-def derive_path_prob(token_logprobs: Sequence[float], mode: ProbMode) -> float:
-    """Collapse token log-probabilities into one path probability.
+def derive_path_prob(logprob_sum: float, n_tokens: int, mode: ProbMode) -> float:
+    """Collapse a path's token log-probabilities into one probability.
 
+    ``logprob_sum`` is the sum of the path's ``n_tokens`` natural-log
+    token probabilities (``-inf`` when it lies past the float range).
     ``joint`` exponentiates the sum (the sequence generation probability);
     ``length_normalized`` exponentiates the mean (geometric mean per token),
     which keeps long paths away from underflow.  The result is clamped to
     [1e-300, 1].
     """
-    if len(token_logprobs) == 0:
+    if n_tokens < 1:
         raise InvalidPathError("cannot derive a probability from zero tokens")
     if mode == "joint":
-        log_p = math.fsum(token_logprobs)
+        log_p = logprob_sum
     elif mode == "length_normalized":
-        log_p = math.fsum(token_logprobs) / len(token_logprobs)
+        log_p = logprob_sum / n_tokens
     else:
         raise InvalidPathError(f"unknown probability mode {mode!r}")
     return min(1.0, max(PROB_FLOOR, math.exp(log_p)))
 
 
 def make_path(
-    text: str,
-    token_logprobs: Sequence[float],
-    answer: AnswerLabel,
-    mode: ProbMode,
-    ext_score: Optional[float] = None,
+    text: str, logprob_sum: float, n_tokens: int, answer: AnswerLabel, mode: ProbMode
 ) -> ReasoningPath:
     """Construct a path with its probability derived in the given mode."""
-    return ReasoningPath(
-        text=text,
-        token_logprobs=tuple(token_logprobs),
-        answer=answer,
-        path_prob=derive_path_prob(token_logprobs, mode),
-        ext_score=ext_score,
-    )
+    return ReasoningPath(text, answer, derive_path_prob(logprob_sum, n_tokens, mode))
 
 
 @dataclass(frozen=True)

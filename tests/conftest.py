@@ -1,7 +1,5 @@
 """Shared helpers for the test suite."""
 
-import math
-
 from reasonconf import AnswerLabel, OracleSpec, ReasoningPath, SampleBatch
 
 
@@ -10,13 +8,7 @@ def label(text: str) -> AnswerLabel:
 
 
 def path(text: str, prob: float, answer: str) -> ReasoningPath:
-    """A path whose single token log-prob reproduces the given probability."""
-    return ReasoningPath(
-        text=text,
-        token_logprobs=(math.log(prob),),
-        answer=label(answer),
-        path_prob=prob,
-    )
+    return ReasoningPath(text=text, answer=label(answer), path_prob=prob)
 
 
 def batch(*specs, problem_id="test") -> SampleBatch:

@@ -245,6 +245,20 @@ class TestEstimateOutputs:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 4  # header + 2 problems x 2 methods
 
+    @pytest.mark.parametrize("mode", ["joint", "length_normalized"])
+    def test_sum_past_the_float_range_scores(self, tmp_path, mode, capsys):
+        dest = tmp_path / "overflow.jsonl"
+        records = [
+            {"problem_id": "p1", "text": "a", "token_logprobs": [-1e308, -1e308], "answer": "4"},
+            {"problem_id": "p1", "text": "b", "token_logprobs": [-0.5], "answer": "5"},
+        ]
+        dest.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prob_mode": mode, "methods": ["PPL", "PC"]}))
+        assert main(["estimate", "--input", str(dest), "--config", str(cfg)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["5", "5"]
+
     def test_truths_score_correctness(self, tmp_path, jsonl_file, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"methods": ["SC"], "truths": {"p1": "4"}}))

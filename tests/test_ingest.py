@@ -1,5 +1,6 @@
 """JSONL ingestion and deterministic export."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from reasonconf import (
     ParseError,
+    PathRecord,
     ReasonConfError,
     ResultRow,
     derive_path_prob,
@@ -17,6 +19,7 @@ from reasonconf import (
     render_results,
 )
 from reasonconf.ingest import parse_record
+from reasonconf.paths import PROB_FLOOR
 
 from conftest import label
 
@@ -69,7 +72,7 @@ class TestLoadJsonl:
         for mode in ("joint", "length_normalized"):
             batches = load_jsonl(write_jsonl(tmp_path, GOOD), mode)
             path = batches["p1"].paths[0]
-            assert path.path_prob == derive_path_prob([-0.2, -0.4], mode)
+            assert path.path_prob == derive_path_prob(math.fsum([-0.2, -0.4]), 2, mode)
 
     def test_empty_file_gives_empty_mapping(self, tmp_path):
         dest = tmp_path / "empty.jsonl"
@@ -144,6 +147,16 @@ class TestLoadJsonl:
 
 
 class TestParseRecord:
+    def test_every_field_of_good_records(self):
+        records = [parse_record(obj, i) for i, obj in enumerate(GOOD, start=1)]
+        assert records == [
+            PathRecord("p1", "step one. answer 4", -0.2 + -0.4, 2, "\\boxed{4}"),
+            PathRecord("p1", "other path", -1.0, 1, "5"),
+            PathRecord("p2", "only path", math.fsum([-0.5, -0.1, -0.2]), 3, "Yes"),
+        ]
+        coded = parse_record(dict(GOOD[0], class_id=3), 1)
+        assert coded == dataclasses.replace(records[0], class_id=3)
+
     def test_unknown_field_rejected(self):
         obj = dict(GOOD[0], extra=1)
         with pytest.raises(ParseError):
@@ -171,6 +184,9 @@ class TestParseRecord:
             ("token_logprobs", [-0.3, "-0.1"]),
             ("class_id", True),
             ("ext_score", True),
+            ("problem_id", None),
+            ("problem_id", 7),
+            ("text", ["a"]),
         ],
     )
     def test_non_finite_bool_or_non_number_rejected(self, tmp_path, field, value):
@@ -217,19 +233,24 @@ class TestParseRecord:
         obj = json.loads(json.dumps(dict(GOOD[0], token_logprobs=tokens)))
         if all(acceptable(t) for t in tokens):
             record = parse_record(obj, 1)
-            assert record.token_logprobs == tuple(float(t) for t in tokens)
-            assert parse_record(record.to_json_obj(), 1) == record
+            floats = [float(t) for t in tokens]
+            try:
+                expected = math.fsum(floats)
+            except OverflowError:
+                expected = -math.inf
+            assert math.copysign(1.0, record.logprob_sum) == math.copysign(1.0, expected)
+            assert record.logprob_sum == expected
+            assert record.n_tokens == len(tokens)
         else:
             with pytest.raises(ParseError):
                 parse_record(obj, 1)
 
-    def test_round_trip_is_lossless(self, tmp_path):
-        source = write_jsonl(tmp_path, GOOD)
-        records = load_records(source)
-        rewritten = write_jsonl(
-            tmp_path, [r.to_json_obj() for r in records], name="again.jsonl"
-        )
-        assert load_records(rewritten) == records
+    def test_sum_past_the_float_range_is_floor(self, tmp_path):
+        overflow = dict(GOOD[0], token_logprobs=[-1e308, -1e308])
+        assert parse_record(overflow, 1).logprob_sum == -math.inf
+        source = write_jsonl(tmp_path, [overflow, GOOD[1]])
+        for mode in ("joint", "length_normalized"):
+            assert load_jsonl(source, mode)["p1"].paths[0].path_prob == PROB_FLOOR
 
 
 ROWS = [

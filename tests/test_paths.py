@@ -21,31 +21,34 @@ from reasonconf import (
 from conftest import batch, label
 
 
+def derive(logprobs, mode):
+    """derive_path_prob on a token list, summed as ingestion sums it."""
+    return derive_path_prob(math.fsum(logprobs), len(logprobs), mode)
+
+
 class TestDerivePathProb:
     def test_joint_is_exp_of_sum(self):
-        assert derive_path_prob([-0.5, -0.5], "joint") == pytest.approx(
-            math.exp(-1.0), abs=1e-12
-        )
+        assert derive([-0.5, -0.5], "joint") == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_length_normalized_is_exp_of_mean(self):
-        assert derive_path_prob([-0.5, -0.5], "length_normalized") == pytest.approx(
+        assert derive([-0.5, -0.5], "length_normalized") == pytest.approx(
             math.exp(-0.5), abs=1e-12
         )
 
     def test_zero_logprob_gives_one(self):
-        assert derive_path_prob([0.0], "joint") == 1.0
-        assert derive_path_prob([0.0], "length_normalized") == 1.0
+        assert derive([0.0], "joint") == 1.0
+        assert derive([0.0], "length_normalized") == 1.0
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidPathError):
-            derive_path_prob([], "joint")
+            derive_path_prob(0.0, 0, "joint")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidPathError):
-            derive_path_prob([-1.0], "geometric")
+            derive([-1.0], "geometric")
 
     def test_extreme_joint_underflow_clamped(self):
-        p = derive_path_prob([-1000.0] * 50, "joint")
+        p = derive([-1000.0] * 50, "joint")
         assert p == 1e-300
 
     @given(
@@ -58,12 +61,12 @@ class TestDerivePathProb:
         raised = list(logprobs)
         raised[pos] = min(0.0, raised[pos] + bump)
         for mode in ("joint", "length_normalized"):
-            assert derive_path_prob(raised, mode) >= derive_path_prob(logprobs, mode)
+            assert derive(raised, mode) >= derive(logprobs, mode)
 
     @given(st.lists(st.floats(min_value=-5, max_value=-0.001), min_size=1, max_size=8))
     def test_equals_one_only_when_all_zero(self, logprobs):
-        assert derive_path_prob(logprobs, "joint") < 1.0
-        assert derive_path_prob([0.0] * len(logprobs), "joint") == 1.0
+        assert derive(logprobs, "joint") < 1.0
+        assert derive([0.0] * len(logprobs), "joint") == 1.0
 
 
 class TestAnswerLabel:
@@ -90,31 +93,11 @@ class TestAnswerLabel:
 
 
 class TestReasoningPathInvariants:
-    def test_requires_nonempty_logprobs(self):
-        with pytest.raises(InvalidPathError):
-            ReasoningPath(
-                text="t", token_logprobs=(), answer=label("a"), path_prob=0.5
-            )
-
     def test_requires_prob_in_unit_interval(self):
         with pytest.raises(InvalidPathError):
-            ReasoningPath(
-                text="t", token_logprobs=(-1.0,), answer=label("a"), path_prob=0.0
-            )
+            ReasoningPath(text="t", answer=label("a"), path_prob=0.0)
         with pytest.raises(InvalidPathError):
-            ReasoningPath(
-                text="t", token_logprobs=(-1.0,), answer=label("a"), path_prob=1.5
-            )
-
-    def test_ext_score_range_checked(self):
-        with pytest.raises(InvalidPathError):
-            ReasoningPath(
-                text="t",
-                token_logprobs=(-1.0,),
-                answer=label("a"),
-                path_prob=0.5,
-                ext_score=1.2,
-            )
+            ReasoningPath(text="t", answer=label("a"), path_prob=1.5)
 
 
 class TestUniquePaths:
