@@ -42,9 +42,10 @@ batch = SampleBatch(
 for kind in ("SC", "PPL", "PC", "RPC"):
     conf = estimate(kind, batch)
     print(f"{kind} confidence map:")
-    for label, value in conf.entries.items():
-        print(f"  {label.canonical!r}: {value:.4f}")
-    answer, value = selection_for_scoring(kind, conf, batch)
+    for key, value in conf.items():
+        name = key.text if kind == "PPL" else key.canonical
+        print(f"  {name!r}: {value:.4f}")
+    answer, value = selection_for_scoring(kind, conf)
     print(f"  -> selects {answer.canonical!r} at {value:.4f}\n")
 
 # The pruning report shows what RPC removed and why.

@@ -65,7 +65,7 @@ single = OracleSpec(
 )
 print("\nper-path probability estimator, target = the correct path")
 for n in (1, 2, 4):
-    enum = exact_estimator_moments(single, n, ppl_confidence, AnswerLabel("t0"))
+    enum = exact_estimator_moments(single, n, ppl_confidence, single.paths[0])
     form = ppl_closed_form(0.5, n, True)
     print(
         f"  n={n}: enumeration total {enum.reasoning_error:.10f}, "

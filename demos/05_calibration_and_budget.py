@@ -44,10 +44,10 @@ for method in METHODS:
         for r in range(REPEATS):
             batch = sample_batch(oracle, n, derive_seed(123, n, r))
             conf = estimate(method, batch)
-            answer, value = selection_for_scoring(method, conf, batch)
+            answer, value = selection_for_scoring(method, conf)
             correct = answer == oracle.truth
             accuracies.append(1.0 if correct else 0.0)
-            scored[method].append((min(value, 1.0), correct))
+            scored[method].append((value, correct))
         per_n.append((n, accuracies))
     curves[method] = budget_curve(method, per_n)
 

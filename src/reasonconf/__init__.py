@@ -46,7 +46,6 @@ from .oracle import (
 from .estimators import (
     ESTIMATOR_KINDS,
     estimate,
-    path_identity,
     pc_confidence,
     ppl_confidence,
     rpc_confidence,

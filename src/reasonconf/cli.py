@@ -25,7 +25,6 @@ from .errors import (
 from .estimators import (
     ESTIMATOR_KINDS,
     estimate,
-    path_identity,
     rpc_confidence,
     sc_confidence,
     pc_confidence,
@@ -49,12 +48,10 @@ from .oracle import (
     load_oracle,
     sample_batch,
 )
-from .paths import AnswerLabel, canonicalize_answer, unique_paths
+from .paths import ScoredKey, canonicalize_answer, unique_paths
 from .pruning import FitConfig, fit_mixture
 
 logger = logging.getLogger("reasonconf")
-
-_METHOD_ORDINAL = {"SC": 1, "PPL": 2, "PC": 3, "RPC": 4}
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -76,6 +73,18 @@ class RunConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RunConfig":
+        """Validate and coerce a config document.
+
+        A value of the wrong type or shape raises ConfigError, as does an
+        unknown key or a count below 1.
+        """
+        try:
+            return cls._coerce(doc)
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from exc
+
+    @classmethod
+    def _coerce(cls, doc: dict) -> "RunConfig":
         defaults = cls().to_doc()
         unknown = set(doc) - set(defaults)
         if unknown:
@@ -95,8 +104,10 @@ class RunConfig:
         n_grid = tuple(int(n) for n in merged["n_grid"])
         if any(n < 1 for n in n_grid):
             raise ConfigError("n_grid entries must be positive")
-        if int(merged["repeats"]) < 1:
-            raise ConfigError("repeats must be >= 1")
+        counts = {key: int(merged[key]) for key in ("repeats", "trials", "bins")}
+        for key, value in counts.items():
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1")
         truths = merged["truths"]
         if truths is not None:
             truths = {str(k): str(v) for k, v in truths.items()}
@@ -105,15 +116,13 @@ class RunConfig:
             methods=methods,
             prob_mode=merged["prob_mode"],
             n_grid=n_grid,
-            repeats=int(merged["repeats"]),
-            trials=int(merged["trials"]),
-            bins=int(merged["bins"]),
             truths=truths,
             fit=FitConfig(
                 weight_bounds=tuple(fit_merged["weight_bounds"]),
                 max_iter=int(fit_merged["max_iter"]),
                 tol=float(fit_merged["tol"]),
             ),
+            **counts,
         )
 
     @classmethod
@@ -139,23 +148,19 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
             batch = sample_batch(oracle, n, derive_seed(cfg.seed, n, r))
             for method in cfg.methods:
                 conf = estimate(method, batch, cfg.fit)
-                answer, value = selection_for_scoring(method, conf, batch)
+                answer, value = selection_for_scoring(method, conf)
                 hit = 1.0 if answer == oracle.truth else 0.0
-                scored = min(1.0, max(0.0, value))
-                rows.append((method, n, r, hit, abs(scored - hit)))
+                rows.append((method, n, r, hit, abs(value - hit)))
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     return rows
 
 
-def _convergence_target(oracle: OracleSpec, method: str) -> AnswerLabel:
-    """The truth, or for PPL the first path carrying it (else path 0)."""
+def _convergence_target(oracle: OracleSpec, method: str) -> ScoredKey:
+    """The truth, or for PPL the first oracle path carrying it (else path 0)."""
     if method != "PPL":
         return oracle.truth
     paths = oracle.paths
-    for path in paths:
-        if path.answer == oracle.truth:
-            return path_identity(path)
-    return path_identity(paths[0])
+    return next((p for p in paths if p.answer == oracle.truth), paths[0])
 
 
 def _closed_form_estimation(
@@ -195,7 +200,7 @@ def convergence_rows(
                 target,
                 n,
                 cfg.trials,
-                derive_seed(cfg.seed, _METHOD_ORDINAL[method], n),
+                derive_seed(cfg.seed, ESTIMATOR_KINDS.index(method) + 1, n),
             )
             mc_errors.append(mc.estimation_error)
             closed = _closed_form_estimation(oracle, method, n, mc)
@@ -261,7 +266,7 @@ def decompose_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
                     target,
                     n,
                     cfg.trials,
-                    derive_seed(cfg.seed, _METHOD_ORDINAL[method], n, 1),
+                    derive_seed(cfg.seed, ESTIMATOR_KINDS.index(method) + 1, n, 1),
                 )
                 exact = False
             errors = (res.estimation_error, res.model_error, res.reasoning_error)
@@ -292,15 +297,14 @@ def estimate_rows(
                 reports[pid] = _report_doc(report)
             else:
                 conf = estimate(method, batch, cfg.fit)
-            answer, value = selection_for_scoring(method, conf, batch)
-            scored = min(1.0, max(0.0, value))
+            answer, value = selection_for_scoring(method, conf)
             rows.append(
                 ResultRow(
                     problem_id=pid,
                     method=method,
                     n=batch.n,
                     selected_answer=answer.canonical,
-                    confidence=scored,
+                    confidence=value,
                     correct=(truth is not None and answer == truth),
                 )
             )
@@ -309,28 +313,11 @@ def estimate_rows(
 
 
 def _report_doc(report) -> dict:
-    doc = {
-        "retained_indices": list(report.retained_indices),
-        "removed_indices": list(report.removed_indices),
-        "fallback_used": report.fallback_used,
-        "mean_threshold": report.mean_threshold,
-    }
-    if report.fit is not None:
-        doc["fit"] = _fit_doc(report.fit)
+    """A pruning report's JSON form; a fallback report has no ``fit`` key."""
+    doc = asdict(report)
+    if doc["fit"] is None:
+        del doc["fit"]
     return doc
-
-
-def _fit_doc(fit) -> dict:
-    return {
-        "comp1": {"shape": fit.comp1.shape, "scale": fit.comp1.scale},
-        "comp2": {"shape": fit.comp2.shape, "scale": fit.comp2.scale},
-        "w1": fit.w1,
-        "w2": fit.w2,
-        "high_index": fit.high_index,
-        "loglik": fit.loglik,
-        "converged": fit.converged,
-        "n_iter": fit.n_iter,
-    }
 
 
 def _emit(text: str, out: Optional[str]):
@@ -383,7 +370,7 @@ def _cmd_fit_mixture(args) -> str:
         for pid in sorted(batches):
             probs = [p.path_prob for p in unique_paths(batches[pid])]
             try:
-                fits[pid] = _fit_doc(fit_mixture(probs, cfg.fit))
+                fits[pid] = asdict(fit_mixture(probs, cfg.fit))
             except FitDegenerateError as exc:
                 fits[pid] = {"degenerate": True, "reason": str(exc)}
         doc = {"problems": fits}
@@ -391,7 +378,7 @@ def _cmd_fit_mixture(args) -> str:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         probs = payload["probs"] if isinstance(payload, dict) else payload
-        doc = {"fit": _fit_doc(fit_mixture([float(p) for p in probs], cfg.fit))}
+        doc = {"fit": asdict(fit_mixture([float(p) for p in probs], cfg.fit))}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -401,18 +388,9 @@ def _cmd_metrics(args) -> str:
         rows = json.load(fh)
     scored = [(float(r["confidence"]), bool(r["correct"])) for r in rows]
     pairs = [(r["selected_answer"], r["correct"]) for r in rows]
-    acc = sum(1 for _, c in pairs if c) / len(pairs) if pairs else 0.0
     bins = reliability_bins(scored, cfg.bins)
-    doc = {
-        "accuracy": acc,
-        "ece": bins.ece(),
-        "bins": {
-            "edges": list(bins.edges),
-            "counts": list(bins.counts),
-            "mean_confidence": list(bins.mean_confidence),
-            "empirical_accuracy": list(bins.empirical_accuracy),
-        },
-    }
+    acc = sum(1 for _, c in pairs if c) / len(pairs)
+    doc = {"accuracy": acc, "ece": bins.ece(), "bins": asdict(bins)}
     if args.format == "csv":
         return render_csv(
             ("bin_low", "bin_high", "count", "mean_confidence", "empirical_accuracy"),

@@ -16,7 +16,6 @@ from typing import Literal, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import AssumptionError, DomainError, EmptyInputError
-from .estimators import path_identity
 from .oracle import (
     OracleSpec,
     TargetErrors,
@@ -25,7 +24,7 @@ from .oracle import (
     target_paths,
     true_answer_prob,
 )
-from .paths import AnswerLabel
+from .paths import AnswerLabel, ScoredKey
 
 Regime = Literal["exponential", "linear"]
 
@@ -132,9 +131,10 @@ def degeneration_diagnostic(p: float, n: int) -> DegenerationDiagnostic:
 def hoeffding_bound(k: int, k_hat: int, alpha: float, tau: float) -> float:
     """Lower bound on the probability that pruning keeps the right answer.
 
-    Evaluates 1 - exp(-2 * k_hat * k^2 * (1 - tau / (1 - alpha))^2),
-    clamped to [0, 1].  The bound is vacuous (returns 0) when the threshold
-    tau exceeds the per-path mean 1 - alpha.
+    Evaluates 1 - exp(-2 * k_hat * k^2 * (1 - tau / (1 - alpha))^2), which
+    lies in [0, 1) since the exponent is never positive.  The bound is
+    vacuous (returns 0) when the threshold tau exceeds the per-path mean
+    1 - alpha.
     """
     if k < 1 or k_hat < 1:
         raise DomainError("k and k_hat must be positive integers")
@@ -145,7 +145,7 @@ def hoeffding_bound(k: int, k_hat: int, alpha: float, tau: float) -> float:
     if tau > 1.0 - alpha:
         return 0.0
     exponent = -2.0 * k_hat * k * k * (1.0 - tau / (1.0 - alpha)) ** 2
-    return min(1.0, max(0.0, 1.0 - math.exp(exponent)))
+    return 1.0 - math.exp(exponent)
 
 
 def empirical_prune_failure_rate(
@@ -243,7 +243,7 @@ class MCErrorEstimate(TargetErrors):
 def monte_carlo_estimation_error(
     oracle: OracleSpec,
     kind: str,
-    target: AnswerLabel,
+    target: ScoredKey,
     n: int,
     trials: int,
     seed: int,
@@ -254,13 +254,14 @@ def monte_carlo_estimation_error(
     and PC statistics without materializing path objects; a cross-check
     against the object-level estimators is part of the test suite.
     ``target_paths`` resolves the target to the paths with that answer (SC,
-    PC) or that identity (PPL).  SC estimates their vote fraction; PC, and
-    PPL over its one path, the summed mass of those that were sampled.
+    PC) or to the oracle path it is (PPL).  SC estimates their vote
+    fraction; PC, and PPL over its one path, the summed mass of those that
+    were sampled.
     """
     if kind in ("SC", "PC"):
         labels = oracle.path_answers
     elif kind == "PPL":
-        labels = [path_identity(p) for p in oracle.paths]
+        labels = oracle.paths
     else:
         raise ValueError(f"no fast Monte Carlo route for estimator {kind!r}")
     indices, true_p, is_correct = target_paths(oracle, labels, target)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Literal, Tuple
 
-from .errors import ReasonConfError
 from .paths import (
     AnswerLabel,
     ConfidenceMap,
@@ -25,35 +24,25 @@ EstimatorKind = Literal["SC", "PPL", "PC", "RPC"]
 ESTIMATOR_KINDS: Tuple[EstimatorKind, ...] = ("SC", "PPL", "PC", "RPC")
 
 
-def path_identity(path: ReasoningPath) -> AnswerLabel:
-    """The label PPL files a path under: its exact text."""
-    return AnswerLabel(canonical=path.text)
-
-
-def sc_confidence(batch: SampleBatch) -> ConfidenceMap:
+def sc_confidence(batch: SampleBatch) -> Dict[AnswerLabel, float]:
     """Vote fraction per observed answer; values sum to 1."""
     batch.require_nonempty()
     counts: Dict[AnswerLabel, int] = {}
     for path in batch.paths:
         counts[path.answer] = counts.get(path.answer, 0) + 1
     n = batch.n
-    return ConfidenceMap(
-        entries={ans: c / n for ans, c in counts.items()}, kind="SC"
-    )
+    return {ans: c / n for ans, c in counts.items()}
 
 
-def ppl_confidence(batch: SampleBatch) -> ConfidenceMap:
-    """Each unique path's own probability, keyed by path identity.
+def ppl_confidence(batch: SampleBatch) -> Dict[ReasoningPath, float]:
+    """Each unique path's own probability, keyed by its first occurrence.
 
     Duplicates collapse to a single entry (the probability is not summed);
     paths never sampled are implicitly 0.  Values are deliberately not
     renormalized over the batch.
     """
     batch.require_nonempty()
-    entries: Dict[AnswerLabel, float] = {}
-    for path in unique_paths(batch):
-        entries[path_identity(path)] = path.path_prob
-    return ConfidenceMap(entries=entries, kind="PPL")
+    return {path: path.path_prob for path in unique_paths(batch)}
 
 
 def _answer_sums(paths: Iterable[ReasoningPath]) -> Dict[AnswerLabel, float]:
@@ -64,15 +53,15 @@ def _answer_sums(paths: Iterable[ReasoningPath]) -> Dict[AnswerLabel, float]:
     return entries
 
 
-def pc_confidence(batch: SampleBatch) -> ConfidenceMap:
+def pc_confidence(batch: SampleBatch) -> Dict[AnswerLabel, float]:
     """Per answer, the sum of probabilities of unique paths mapping to it."""
     batch.require_nonempty()
-    return ConfidenceMap(entries=_answer_sums(unique_paths(batch)), kind="PC")
+    return _answer_sums(unique_paths(batch))
 
 
 def rpc_confidence(
     batch: SampleBatch, config: FitConfig = FitConfig()
-) -> Tuple[ConfidenceMap, PruningReport]:
+) -> Tuple[Dict[AnswerLabel, float], PruningReport]:
     """PC restricted to the unique paths that survive reasoning pruning.
 
     The mixture is fitted to the deduplicated path probabilities; a
@@ -82,8 +71,7 @@ def rpc_confidence(
     batch.require_nonempty()
     uniques = unique_paths(batch)
     report = prune([p.path_prob for p in uniques], config)
-    retained = (uniques[i] for i in report.retained_indices)
-    return ConfidenceMap(entries=_answer_sums(retained), kind="RPC"), report
+    return _answer_sums(uniques[i] for i in report.retained_indices), report
 
 
 def estimate(
@@ -102,17 +90,14 @@ def estimate(
 
 
 def selection_for_scoring(
-    kind: EstimatorKind, conf: ConfidenceMap, batch: SampleBatch
+    kind: EstimatorKind, conf: ConfidenceMap
 ) -> Tuple[AnswerLabel, float]:
-    """Selected answer and its confidence, suitable for accuracy scoring.
+    """Selected answer and its confidence clamped to [0, 1], for scoring.
 
-    PPL selects over paths, so the winning path identity is mapped back to
-    that path's answer; the other estimators already select answers.
+    PPL selects over paths, so the winning path's answer is reported; the
+    other estimators already select answers.  Every confidence is positive,
+    but a probability sum can exceed 1 on ingested paths, hence the cap.
     """
-    label, value = select_answer(conf)
-    if kind != "PPL":
-        return label, value
-    for path in unique_paths(batch):
-        if path_identity(path) == label:
-            return path.answer, value
-    raise ReasonConfError("selected path identity not present in batch")
+    key, value = select_answer(conf)
+    answer = key.answer if kind == "PPL" else key
+    return answer, min(value, 1.0)

@@ -24,7 +24,7 @@ from .errors import (
     InvalidSampleSizeError,
     ReasonConfError,
 )
-from .paths import AnswerLabel, ConfidenceMap, ReasoningPath, SampleBatch
+from .paths import AnswerLabel, ConfidenceMap, ReasoningPath, SampleBatch, ScoredKey
 
 ENUMERATION_CAP = 10_000_000
 
@@ -85,6 +85,8 @@ def oracle_from_json(doc: dict) -> OracleSpec:
         truth = AnswerLabel(str(doc["truth"]))
     except KeyError as exc:
         raise ReasonConfError(f"oracle document missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ReasonConfError(f"malformed oracle document: {exc}") from exc
     return OracleSpec(path_probs=probs, path_answers=answers, truth=truth)
 
 
@@ -99,12 +101,12 @@ def true_answer_prob(oracle: OracleSpec, ans: AnswerLabel) -> float:
 
 
 def target_paths(
-    oracle: OracleSpec, labels: Sequence[AnswerLabel], target: AnswerLabel
+    oracle: OracleSpec, labels: Sequence[ScoredKey], target: ScoredKey
 ) -> Tuple[Tuple[int, ...], float, bool]:
     """The oracle paths a target stands for, their mass, and correctness.
 
-    ``labels[i]`` is the label an estimator files oracle path i under: the
-    path's answer for the answer-keyed estimators, its identity for PPL.
+    ``labels[i]`` is the key an estimator files oracle path i under: the
+    path's answer for the answer-keyed estimators, the path itself for PPL.
     The target stands for every path filed under it; it is correct when
     the first such path carries the truth, or, if it stands for no path,
     when the target is the truth itself.
@@ -200,23 +202,21 @@ class OutcomeEnumeration(TargetErrors):
         return self.reasoning_error - self.model_error
 
 
-def _estimator_key(
-    estimator: EstimatorFn, path: ReasoningPath
-) -> Optional[AnswerLabel]:
-    """The label under which an estimator files a lone path, if any."""
+def _estimator_key(estimator: EstimatorFn, path: ReasoningPath) -> Optional[ScoredKey]:
+    """The key under which an estimator files a lone path, if any."""
     conf = estimator(SampleBatch(paths=(path,), problem_id="probe"))
-    if not conf.entries:
+    if not conf:
         return None
-    if len(conf.entries) != 1:
+    if len(conf) != 1:
         raise ReasonConfError("estimator produced multiple entries for one path")
-    return next(iter(conf.entries))
+    return next(iter(conf))
 
 
 def exact_estimator_moments(
     oracle: OracleSpec,
     n: int,
     estimator: EstimatorFn,
-    target: AnswerLabel,
+    target: ScoredKey,
 ) -> OutcomeEnumeration:
     """Average the estimator exactly over all C(n+M-1, n) count vectors.
 
@@ -226,10 +226,10 @@ def exact_estimator_moments(
     evaluated once, on its non-decreasing ordering, and weighted by its
     multinomial probability n!/prod(c_i!) * prod(q_i^c_i).  The value is
     read off for ``target``.  The estimator is probed with one-path batches
-    to learn the label it files each oracle path under, and
-    :func:`target_paths` turns those labels into the target's true
+    to learn the key it files each oracle path under, and
+    :func:`target_paths` turns those keys into the target's true
     probability and correctness, so the computation works for answer-keyed
-    and path-keyed estimators alike.
+    estimators (target an answer) and PPL (target an oracle path) alike.
 
     Raises EnumerationTooLargeError when the M^n ordered outcomes the
     count vectors stand for exceed 10^7.
@@ -255,9 +255,8 @@ def exact_estimator_moments(
             orderings //= math.factorial(idx.count(i))
         weight = orderings * math.prod(oracle.path_probs[i] for i in idx)
         batch = SampleBatch(paths=tuple(paths[i] for i in idx), problem_id="enum")
-        conf = estimator(batch)
         outcome_probs.append(weight)
-        values.append(conf.entries.get(target, 0.0))
+        values.append(estimator(batch).get(target, 0.0))
 
     expectation = math.fsum(p * v for p, v in zip(outcome_probs, values))
     second = math.fsum(p * v * v for p, v in zip(outcome_probs, values))

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Literal, Optional, Tuple, Union
 
 from .errors import EmptyBatchError, InvalidPathError, NoCandidatesError
 
@@ -135,22 +136,11 @@ class SampleBatch:
             raise EmptyBatchError(f"batch {self.problem_id!r} has no paths")
 
 
-@dataclass
-class ConfidenceMap:
-    """Non-negative confidence per answer label (or per unique path for the
-    path-keyed estimator).
-
-    Entries are inserted in first-occurrence sampling order; that order is
-    the deterministic tie-break used by :func:`select_answer`.
-    """
-
-    entries: Dict[AnswerLabel, float]
-    kind: str
-
-    def __post_init__(self):
-        for label, value in self.entries.items():
-            if value < 0:
-                raise ValueError(f"negative confidence {value} for {label!r}")
+# Confidence per scored key: an answer label for SC, PC and RPC, the
+# first-occurrence path itself for PPL.  Keys are inserted in sampling
+# order; that order is the tie-break used by :func:`select_answer`.
+ScoredKey = Union[AnswerLabel, ReasoningPath]
+ConfidenceMap = Dict[ScoredKey, float]
 
 
 def unique_paths(batch: SampleBatch) -> List[ReasoningPath]:
@@ -164,17 +154,12 @@ def unique_paths(batch: SampleBatch) -> List[ReasoningPath]:
     return out
 
 
-def select_answer(conf: ConfidenceMap) -> Tuple[AnswerLabel, float]:
-    """Return the highest-confidence entry; ties go to the earliest-inserted.
+def select_answer(conf: ConfidenceMap) -> Tuple[ScoredKey, float]:
+    """Return the highest-confidence key; ties go to the earliest-inserted.
 
     Insertion order equals first-occurrence sampling order for every map
     the estimators build, so selection is deterministic given a seed.
     """
-    if not conf.entries:
+    if not conf:
         raise NoCandidatesError("cannot select from an empty confidence map")
-    best_label = None
-    best_value = -math.inf
-    for label, value in conf.entries.items():
-        if value > best_value:
-            best_label, best_value = label, value
-    return best_label, best_value
+    return max(conf.items(), key=itemgetter(1))

@@ -141,7 +141,7 @@ def test_c02_closed_form_equivalence(kind):
                     spec = oracle([p, 1.0 - p], ["A", "B"], truth)
                     for n in range(1, 7):
                         enum = exact_estimator_moments(
-                            spec, n, ppl_confidence, label("t0")
+                            spec, n, ppl_confidence, spec.paths[0]
                         )
                         out = ppl_closed_form(p, n, truth == "A")
                         assert (
@@ -294,8 +294,8 @@ def test_c07_pruning_safety():
             b = random_batch()
             conf, report = rpc_confidence(b, light)
             assert len(report.retained_indices) >= 1
-            pc = pc_confidence(b).entries
-            for key, value in conf.entries.items():
+            pc = pc_confidence(b)
+            for key, value in conf.items():
                 assert value <= pc[key] + 1e-15
             checked_light += 1
 
@@ -305,8 +305,8 @@ def test_c07_pruning_safety():
             b = random_batch()
             conf, report = rpc_confidence(b)
             assert len(report.retained_indices) >= 1
-            pc = pc_confidence(b).entries
-            for key, value in conf.entries.items():
+            pc = pc_confidence(b)
+            for key, value in conf.items():
                 assert value <= pc[key] + 1e-15
 
         assert checked_light == 10_000
@@ -370,7 +370,7 @@ def test_c10_directional_method_ordering():
             for r in range(seeds):
                 b = sample_batch(spec, n, derive_seed(base, n, r))
                 conf = estimate(method, b)
-                answer, _ = selection_for_scoring(method, conf, b)
+                answer, _ = selection_for_scoring(method, conf)
                 hits += answer == spec.truth
             return hits / seeds
 

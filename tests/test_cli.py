@@ -212,6 +212,35 @@ class TestErrorHandling:
         )
         assert main(["estimate", "--input", str(dest)]) == 1
 
+    @pytest.mark.parametrize(
+        "flag,doc",
+        [
+            ("--config", {"seed": "abc"}),
+            ("--config", {"repeats": "x"}),
+            ("--config", {"n_grid": 5}),
+            ("--config", {"truths": [1]}),
+            ("--config", {"fit": 3}),
+            ("--config", {"fit": {"weight_bounds": [0.5]}}),
+            ("--config", {"trials": -5}),
+            ("--config", {"trials": 0}),
+            ("--config", {"bins": 0}),
+            ("--oracle", [1]),
+            ("--oracle", {"path_probs": ["x"], "path_answers": ["A"], "truth": "A"}),
+            ("--oracle", {"path_probs": 1, "path_answers": ["A"], "truth": "A"}),
+        ],
+    )
+    def test_malformed_document_is_an_error_line(
+        self, tmp_path, oracle_file, capsys, flag, doc
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        files = {"--oracle": oracle_file, flag: str(bad)}
+        argv = ["convergence"] + [arg for pair in files.items() for arg in pair]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_print_defaults(self, capsys):
         assert main(["config", "--print-defaults"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -258,6 +287,21 @@ class TestEstimateOutputs:
         assert main(["estimate", "--input", str(dest), "--config", str(cfg)]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert [row.split(",")[3] for row in rows] == ["5", "5"]
+
+    @pytest.mark.parametrize("mode", ["joint", "length_normalized"])
+    def test_empty_path_text_scores(self, tmp_path, mode, capsys):
+        dest = tmp_path / "empty_text.jsonl"
+        records = [
+            {"problem_id": "p1", "text": "", "token_logprobs": [-0.1], "answer": "4"},
+            {"problem_id": "p1", "text": "b", "token_logprobs": [-0.5], "answer": "5"},
+        ]
+        dest.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prob_mode": mode, "methods": ["PPL"]}))
+        assert main(["estimate", "--input", str(dest), "--config", str(cfg)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [["p1", "PPL", "2", "4"]]
+        assert float(rows[0].split(",")[4]) == pytest.approx(math.exp(-0.1))
 
     def test_truths_score_correctness(self, tmp_path, jsonl_file, capsys):
         cfg = tmp_path / "cfg.json"

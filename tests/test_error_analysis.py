@@ -113,7 +113,7 @@ class TestPathProbClosedForm:
         # and the total exactly.
         spec = oracle([p, 1.0 - p], ["A", "B"], truth)
         for n in range(1, 7):
-            enum = exact_estimator_moments(spec, n, ppl_confidence, label("t0"))
+            enum = exact_estimator_moments(spec, n, ppl_confidence, spec.paths[0])
             out = ppl_closed_form(p, n, truth == "A")
             assert enum.decomposition_estimation_error == pytest.approx(
                 out.estimation_error, abs=1e-12
@@ -123,7 +123,7 @@ class TestPathProbClosedForm:
     def test_three_path_oracle_cross_check(self):
         spec = oracle([0.5, 0.3, 0.2], ["A", "B", "C"], "A")
         for n in (1, 3, 5):
-            enum = exact_estimator_moments(spec, n, ppl_confidence, label("t1"))
+            enum = exact_estimator_moments(spec, n, ppl_confidence, spec.paths[1])
             out = ppl_closed_form(0.3, n, False)
             assert enum.reasoning_error == pytest.approx(out.total, abs=1e-12)
 

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reasonconf import (
+    ESTIMATOR_KINDS,
     EmptyBatchError,
     SampleBatch,
     estimate,
-    path_identity,
     pc_confidence,
     ppl_confidence,
     rpc_confidence,
@@ -27,30 +27,30 @@ class TestVoteFractions:
     def test_basic_counts(self):
         b = batch(("t1", 0.4, "A"), ("t2", 0.3, "A"), ("t3", 0.1, "B"))
         conf = sc_confidence(b)
-        assert conf.entries[label("A")] == pytest.approx(2 / 3, abs=1e-15)
-        assert conf.entries[label("B")] == pytest.approx(1 / 3, abs=1e-15)
+        assert conf[label("A")] == pytest.approx(2 / 3, abs=1e-15)
+        assert conf[label("B")] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_single_vote(self):
         conf = sc_confidence(batch(("t1", 0.4, "A")))
-        assert conf.entries == {label("A"): 1.0}
+        assert conf == {label("A"): 1.0}
 
     def test_uniform_votes(self):
         b = batch(
             ("t1", 0.25, "A"), ("t2", 0.25, "B"), ("t3", 0.25, "C"), ("t4", 0.25, "D")
         )
         conf = sc_confidence(b)
-        assert all(v == 0.25 for v in conf.entries.values())
+        assert all(v == 0.25 for v in conf.values())
 
     def test_values_sum_to_one_for_power_of_two_n(self):
         b = batch(
             ("t1", 0.4, "A"), ("t2", 0.3, "A"), ("t3", 0.1, "B"), ("t4", 0.1, "C")
         )
-        assert math.fsum(sc_confidence(b).entries.values()) == 1.0
+        assert math.fsum(sc_confidence(b).values()) == 1.0
 
     @given(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=21))
     def test_values_sum_to_one_within_rounding(self, answers):
         b = batch(*[(f"t{i}", 0.5, a) for i, a in enumerate(answers)])
-        assert math.fsum(sc_confidence(b).entries.values()) == pytest.approx(
+        assert math.fsum(sc_confidence(b).values()) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -63,48 +63,51 @@ class TestPathProbabilityPassthrough:
     def test_unique_paths_keep_own_probability(self):
         b = batch(("t1", 0.3, "A"), ("t2", 0.1, "B"))
         conf = ppl_confidence(b)
-        assert conf.entries == {label("t1"): 0.3, label("t2"): 0.1}
+        assert conf == {b.paths[0]: 0.3, b.paths[1]: 0.1}
 
     def test_duplicates_collapse_without_summing(self):
         b = batch(("t1", 0.2, "A"), ("t1", 0.2, "A"), ("t1", 0.2, "A"))
-        assert ppl_confidence(b).entries == {label("t1"): 0.2}
+        conf = ppl_confidence(b)
+        assert conf == {b.paths[0]: 0.2}
+        assert next(iter(conf)) is b.paths[0]
 
     def test_single_certain_path(self):
-        assert ppl_confidence(batch(("t1", 1.0, "A"))).entries == {label("t1"): 1.0}
+        b = batch(("t1", 1.0, "A"))
+        assert ppl_confidence(b) == {b.paths[0]: 1.0}
 
 
 class TestProbabilitySums:
     def test_grouped_sum_over_unique_paths(self):
         b = batch(("t1", 0.3, "A"), ("t2", 0.2, "A"), ("t3", 0.1, "B"))
         conf = pc_confidence(b)
-        assert conf.entries[label("A")] == pytest.approx(0.5, abs=1e-15)
-        assert conf.entries[label("B")] == pytest.approx(0.1, abs=1e-15)
+        assert conf[label("A")] == pytest.approx(0.5, abs=1e-15)
+        assert conf[label("B")] == pytest.approx(0.1, abs=1e-15)
 
     def test_dedup_before_summing(self):
         b = batch(("t1", 0.3, "A"), ("t1", 0.3, "A"))
-        assert pc_confidence(b).entries == {label("A"): 0.3}
+        assert pc_confidence(b) == {label("A"): 0.3}
 
     def test_single_certain_path(self):
-        assert pc_confidence(batch(("t1", 1.0, "A"))).entries == {label("A"): 1.0}
+        assert pc_confidence(batch(("t1", 1.0, "A"))) == {label("A"): 1.0}
 
     def test_equals_grouped_path_values_exactly(self):
         b = batch(
             ("t1", 0.31, "A"), ("t2", 0.17, "A"), ("t3", 0.11, "B"),
             ("t4", 0.07, "A"), ("t1", 0.31, "A"),
         )
-        pc = pc_confidence(b).entries
-        ppl = ppl_confidence(b).entries
+        pc = pc_confidence(b)
+        ppl = ppl_confidence(b)
         regrouped = {}
         for p in unique_paths(b):
-            regrouped[p.answer] = regrouped.get(p.answer, 0.0) + ppl[path_identity(p)]
+            regrouped[p.answer] = regrouped.get(p.answer, 0.0) + ppl[p]
         assert regrouped == pc
 
     @given(st.floats(min_value=0.01, max_value=1.0))
     def test_scaling_probs_scales_confidence(self, c):
         base = [("t1", 0.5, "A"), ("t2", 0.25, "A"), ("t3", 0.125, "B")]
         scaled = [(t, q * c, a) for t, q, a in base]
-        conf_base = pc_confidence(batch(*base)).entries
-        conf_scaled = pc_confidence(batch(*scaled)).entries
+        conf_base = pc_confidence(batch(*base))
+        conf_scaled = pc_confidence(batch(*scaled))
         for key, value in conf_base.items():
             assert conf_scaled[key] == pytest.approx(c * value, rel=1e-12)
         assert select_answer(pc_confidence(batch(*base)))[0] == select_answer(
@@ -119,17 +122,17 @@ class TestPrunedProbabilitySums:
         b = batch(("t1", 0.5, "A"), ("t2", 0.3, "B"), ("t3", 0.1, "C"))
         conf, report = rpc_confidence(b)
         assert report.fallback_used
-        assert conf.entries == {label("A"): 0.5, label("B"): 0.3}
+        assert conf == {label("A"): 0.5, label("B"): 0.3}
 
     def test_identical_probs_prune_nothing(self):
         b = batch(("t1", 0.2, "A"), ("t2", 0.2, "B"), ("t3", 0.2, "C"))
         conf, report = rpc_confidence(b)
         assert report.removed_indices == ()
-        assert conf.entries == pc_confidence(b).entries
+        assert conf == pc_confidence(b)
 
     def test_single_path(self):
         conf, report = rpc_confidence(batch(("t1", 0.4, "A")))
-        assert conf.entries == {label("A"): 0.4}
+        assert conf == {label("A"): 0.4}
         assert report.retained_indices == (0,)
 
     def test_retained_is_nonempty_subset_with_smaller_entries(self):
@@ -138,27 +141,27 @@ class TestPrunedProbabilitySums:
             ("t4", 0.3, "A"), ("t5", 0.03, "C"), ("t6", 0.06, "C"),
         )
         conf, report = rpc_confidence(b)
-        pc = pc_confidence(b).entries
+        pc = pc_confidence(b)
         assert len(report.retained_indices) >= 1
         uniques = unique_paths(b)
         assert set(report.retained_indices) <= set(range(len(uniques)))
-        for key, value in conf.entries.items():
+        for key, value in conf.items():
             assert value <= pc[key] + 1e-15
 
     def test_distinct_answer_batches_select_like_path_estimator(self):
         b = batch(("t1", 0.5, "A"), ("t2", 0.3, "B"), ("t3", 0.1, "C"))
-        pc_pick = selection_for_scoring("PC", pc_confidence(b), b)
-        ppl_pick = selection_for_scoring("PPL", ppl_confidence(b), b)
+        pc_pick = selection_for_scoring("PC", pc_confidence(b))
+        ppl_pick = selection_for_scoring("PPL", ppl_confidence(b))
         assert pc_pick[0] == ppl_pick[0]
 
 
 class TestDispatch:
     def test_kinds_route_to_matching_estimators(self):
         b = batch(("t1", 0.3, "A"), ("t2", 0.2, "A"), ("t3", 0.1, "B"))
-        assert estimate("SC", b).entries == sc_confidence(b).entries
-        assert estimate("PC", b).entries == pc_confidence(b).entries
-        assert estimate("PPL", b).entries == ppl_confidence(b).entries
-        assert estimate("RPC", b).entries == rpc_confidence(b)[0].entries
+        assert estimate("SC", b) == sc_confidence(b)
+        assert estimate("PC", b) == pc_confidence(b)
+        assert estimate("PPL", b) == ppl_confidence(b)
+        assert estimate("RPC", b) == rpc_confidence(b)[0]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -166,6 +169,31 @@ class TestDispatch:
 
     def test_path_selection_maps_to_answer(self):
         b = batch(("t1", 0.5, "A"), ("t2", 0.3, "B"))
-        answer, value = selection_for_scoring("PPL", ppl_confidence(b), b)
+        answer, value = selection_for_scoring("PPL", ppl_confidence(b))
         assert answer == label("A")
         assert value == 0.5
+
+    def test_selected_confidence_is_capped_at_one(self):
+        # Ingested paths' probabilities need not sum to 1 across paths.
+        b = batch(("t1", 0.8, "A"), ("t2", 0.7, "A"), ("t3", 0.9, "B"))
+        assert pc_confidence(b)[label("A")] == pytest.approx(1.5)
+        assert selection_for_scoring("PC", pc_confidence(b)) == (label("A"), 1.0)
+
+
+class TestConfidenceMaps:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=7),
+                st.floats(min_value=1e-12, max_value=1.0),
+                st.sampled_from("ABC"),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_every_value_is_positive(self, specs):
+        b = batch(*[(f"t{t}", q, a) for t, q, a in specs])
+        for kind in ESTIMATOR_KINDS:
+            conf = estimate(kind, b)
+            assert conf and all(v > 0.0 for v in conf.values()), kind

@@ -113,7 +113,7 @@ class TestExactEstimatorMoments:
         # E[(est-1)^2] = 0.75*0.25 + 0.25*1 = 0.4375, model = 0.25,
         # so the decomposition residual is 0.1875.
         spec = oracle([0.5, 0.5], ["A", "B"], "A")
-        enum = exact_estimator_moments(spec, 2, ppl_confidence, label("t0"))
+        enum = exact_estimator_moments(spec, 2, ppl_confidence, spec.paths[0])
         assert enum.true_prob == pytest.approx(0.5, abs=1e-15)
         assert enum.is_correct
         assert enum.expectation == pytest.approx(0.375, abs=1e-12)
@@ -173,7 +173,7 @@ def _ordered_outcomes(spec, n, estimator):
     for idx in itertools.product(range(spec.num_paths), repeat=n):
         weights.append(math.prod(spec.path_probs[i] for i in idx))
         batch = SampleBatch(paths=tuple(paths[i] for i in idx))
-        confs.append(estimator(batch).entries)
+        confs.append(estimator(batch))
     return weights, confs
 
 
@@ -187,7 +187,7 @@ class TestCountVectorEnumeration:
             m = spec.num_paths
             targets = (
                 set(spec.path_answers)
-                | {label(f"t{i}") for i in range(m)}
+                | set(spec.paths)
                 | {spec.truth, label("zz-absent")}
             )
             for n in range(1, 7):
@@ -240,10 +240,10 @@ class TestEstimatorsIgnoreSampleOrder:
             shuffled = SampleBatch(
                 paths=tuple(distinct[i] for i in rng.permutation(idx))
             )
-            assert sc_confidence(shuffled).entries == sc_confidence(batch).entries
-            assert ppl_confidence(shuffled).entries == ppl_confidence(batch).entries
+            assert sc_confidence(shuffled) == sc_confidence(batch)
+            assert ppl_confidence(shuffled) == ppl_confidence(batch)
             for fn, tol in ((pc_confidence, 1e-15), (_ESTIMATORS["RPC"], 1e-12)):
-                want, got = fn(batch).entries, fn(shuffled).entries
+                want, got = fn(batch), fn(shuffled)
                 assert got.keys() == want.keys()
                 assert all(abs(got[a] - want[a]) <= tol for a in want)
 
@@ -276,18 +276,19 @@ class TestMonteCarloAgreesWithEnumeration:
         [
             ("SC", "A"),
             ("PC", "A"),
-            ("PPL", "t0"),
+            ("PPL", 0),
             ("PC", "B"),
             ("SC", "C"),
-            ("PPL", "t2"),
+            ("PPL", 2),
         ],
     )
     def test_mean_squared_error_within_five_stderr(self, kind, target):
         spec = oracle([0.5, 0.25, 0.25], ["A", "A", "B"], "A")
         fns = {"SC": sc_confidence, "PC": pc_confidence, "PPL": ppl_confidence}
-        enum = exact_estimator_moments(spec, 4, fns[kind], label(target))
+        target = spec.paths[target] if kind == "PPL" else label(target)
+        enum = exact_estimator_moments(spec, 4, fns[kind], target)
         mc = monte_carlo_estimation_error(
-            spec, kind, label(target), 4, trials=100_000, seed=19
+            spec, kind, target, 4, trials=100_000, seed=19
         )
         # An absent answer has zero error and zero standard error.
         assert abs(mc.estimation_error - enum.estimation_error) <= 5 * mc.stderr
@@ -305,7 +306,7 @@ class TestMonteCarloAgreesWithEnumeration:
         sq = []
         for t in range(trials):
             b = sample_batch(spec, 4, derive_seed(99, t))
-            est = sc_confidence(b).entries.get(label("A"), 0.0)
+            est = sc_confidence(b).get(label("A"), 0.0)
             sq.append((est - p) ** 2)
         slow_mean = float(np.mean(sq))
         slow_err = float(np.std(sq) / math.sqrt(trials))

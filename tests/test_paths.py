@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from reasonconf import (
     AnswerLabel,
-    ConfidenceMap,
     InvalidPathError,
     NoCandidatesError,
     ReasoningPath,
@@ -126,20 +125,20 @@ class TestUniquePaths:
 
 class TestSelectAnswer:
     def test_argmax(self):
-        conf = ConfidenceMap(entries={label("A"): 0.5, label("B"): 0.1}, kind="SC")
+        conf = {label("A"): 0.5, label("B"): 0.1}
         assert select_answer(conf) == (label("A"), 0.5)
 
     def test_tie_goes_to_earliest_inserted(self):
-        conf = ConfidenceMap(entries={label("A"): 0.3, label("B"): 0.3}, kind="SC")
+        conf = {label("A"): 0.3, label("B"): 0.3}
         assert select_answer(conf)[0] == label("A")
 
     def test_singleton(self):
-        conf = ConfidenceMap(entries={label("A"): 1.0}, kind="SC")
+        conf = {label("A"): 1.0}
         assert select_answer(conf) == (label("A"), 1.0)
 
     def test_empty_map_rejected(self):
         with pytest.raises(NoCandidatesError):
-            select_answer(ConfidenceMap(entries={}, kind="SC"))
+            select_answer({})
 
     @given(
         st.lists(
@@ -150,10 +149,4 @@ class TestSelectAnswer:
     def test_scale_invariance(self, values, c):
         entries = {label(f"a{i}"): v for i, v in enumerate(values)}
         scaled = {k: c * v for k, v in entries.items()}
-        first = select_answer(ConfidenceMap(entries=entries, kind="PC"))[0]
-        second = select_answer(ConfidenceMap(entries=scaled, kind="PC"))[0]
-        assert first == second
-
-    def test_negative_confidence_rejected(self):
-        with pytest.raises(ValueError):
-            ConfidenceMap(entries={label("A"): -0.1}, kind="SC")
+        assert select_answer(entries)[0] == select_answer(scaled)[0]
