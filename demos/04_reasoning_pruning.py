@@ -4,9 +4,9 @@ Mixture modeling and path pruning
 
 Path probabilities from a batch typically show a high mode (plausible
 derivations) and a low mode (noise). A two-component Weibull mixture
-fitted by bounded EM separates them; paths are kept when their posterior
-of belonging to the high component reaches 0.5 or they clear the batch
-mean.
+fitted by bounded, SQUAREM-accelerated EM separates them; paths are kept
+when their posterior of belonging to the high component reaches 0.5 or
+they clear the batch mean.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ print(f"  component 1: shape {fit.comp1.shape:.3f}, scale {fit.comp1.scale:.3f}"
 print(f"  component 2: shape {fit.comp2.shape:.3f}, scale {fit.comp2.scale:.3f}")
 print(f"  weights: {fit.w1:.3f} / {fit.w2:.3f}  (bounded to [0.2, 0.8])")
 print(f"  high component: #{fit.high_index} (mean {fit.high.mean():.3f})")
-print(f"  log-likelihood {fit.loglik:.2f} after {fit.n_iter} EM sweeps")
+print(f"  log-likelihood {fit.loglik:.2f} after {fit.n_iter} EM maps")
 
 # The posterior is a soft classifier over probability values.
 print("\nposterior of the high component:")

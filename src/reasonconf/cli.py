@@ -49,7 +49,7 @@ from .oracle import (
     sample_batch,
 )
 from .paths import ScoredKey, canonicalize_answer, unique_paths
-from .pruning import FitConfig, fit_mixture
+from .pruning import FitConfig, MixtureFit, PruningReport, fit_mixture
 
 logger = logging.getLogger("reasonconf")
 
@@ -143,16 +143,33 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
     comparisons are paired.  Rows: (method, n, seed, accuracy, ece).
     """
     rows = []
+    fits = []
     for n in cfg.n_grid:
         for r in range(cfg.repeats):
             batch = sample_batch(oracle, n, derive_seed(cfg.seed, n, r))
             for method in cfg.methods:
-                conf = estimate(method, batch, cfg.fit)
+                if method == "RPC":
+                    conf, report = rpc_confidence(batch, cfg.fit)
+                    fits.append(report.fit)
+                else:
+                    conf = estimate(method, batch, cfg.fit)
                 answer, value = selection_for_scoring(method, conf)
                 hit = 1.0 if answer == oracle.truth else 0.0
                 rows.append((method, n, r, hit, abs(value - hit)))
+    _warn_capped(fits)
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     return rows
+
+
+def _warn_capped(fits: Sequence[Optional[MixtureFit]]):
+    """Log how many of the mixture fits stopped at ``max_iter`` unconverged.
+
+    ``None`` stands for a batch too small or flat to fit; it is no fit.
+    """
+    done = [fit for fit in fits if fit is not None]
+    capped = sum(1 for fit in done if not fit.converged)
+    if capped:
+        logger.warning("%d of %d mixture fits stopped at max_iter", capped, len(done))
 
 
 def _convergence_target(oracle: OracleSpec, method: str) -> ScoredKey:
@@ -286,6 +303,7 @@ def estimate_rows(
     """
     rows: List[ResultRow] = []
     reports: Dict[str, dict] = {}
+    fits = []
     for pid in sorted(batches):
         batch = batches[pid]
         truth = None
@@ -295,6 +313,7 @@ def estimate_rows(
             if method == "RPC":
                 conf, report = rpc_confidence(batch, cfg.fit)
                 reports[pid] = _report_doc(report)
+                fits.append(report.fit)
             else:
                 conf = estimate(method, batch, cfg.fit)
             answer, value = selection_for_scoring(method, conf)
@@ -308,15 +327,34 @@ def estimate_rows(
                     correct=(truth is not None and answer == truth),
                 )
             )
+    _warn_capped(fits)
     rows.sort(key=lambda row: (row.problem_id, row.method))
     return rows, reports
 
 
-def _report_doc(report) -> dict:
-    """A pruning report's JSON form; a fallback report has no ``fit`` key."""
-    doc = asdict(report)
-    if doc["fit"] is None:
-        del doc["fit"]
+def _report_doc(report: PruningReport) -> dict:
+    """A pruning report's JSON form; a fallback report has no ``fit`` key.
+
+    Built by hand: ``asdict`` would copy every index one call at a time.
+    """
+    doc = {
+        "retained_indices": report.retained_indices,
+        "removed_indices": report.removed_indices,
+        "fallback_used": report.fallback_used,
+        "mean_threshold": report.mean_threshold,
+    }
+    fit = report.fit
+    if fit is not None:
+        doc["fit"] = {
+            "comp1": {"shape": fit.comp1.shape, "scale": fit.comp1.scale},
+            "comp2": {"shape": fit.comp2.shape, "scale": fit.comp2.scale},
+            "w1": fit.w1,
+            "w2": fit.w2,
+            "high_index": fit.high_index,
+            "loglik": fit.loglik,
+            "converged": fit.converged,
+            "n_iter": fit.n_iter,
+        }
     return doc
 
 
@@ -378,7 +416,11 @@ def _cmd_fit_mixture(args) -> str:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         probs = payload["probs"] if isinstance(payload, dict) else payload
-        doc = {"fit": asdict(fit_mixture([float(p) for p in probs], cfg.fit))}
+        try:
+            probs = [float(p) for p in probs]
+        except (TypeError, ValueError) as exc:
+            raise ReasonConfError(f"malformed probs document: {exc}") from exc
+        doc = {"fit": asdict(fit_mixture(probs, cfg.fit))}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -386,7 +428,10 @@ def _cmd_metrics(args) -> str:
     cfg = RunConfig.load(args.config, args.seed)
     with open(args.input, "r", encoding="utf-8") as fh:
         rows = json.load(fh)
-    scored = [(float(r["confidence"]), bool(r["correct"])) for r in rows]
+    try:
+        scored = [(float(r["confidence"]), bool(r["correct"])) for r in rows]
+    except (TypeError, ValueError) as exc:
+        raise ReasonConfError(f"malformed results document: {exc}") from exc
     pairs = [(r["selected_answer"], r["correct"]) for r in rows]
     bins = reliability_bins(scored, cfg.bins)
     acc = sum(1 for _, c in pairs if c) / len(pairs)

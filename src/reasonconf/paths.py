@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Literal, Optional, Tuple, Union
 
@@ -30,17 +30,25 @@ class AnswerLabel:
     Two labels compare equal on ``class_id`` when both carry one, otherwise
     on the canonical string.  Labels that are hashed together (dict keys,
     set members) must either all carry a class id or all not; ingestion
-    enforces this per problem.
+    enforces this per problem.  The hash is computed once, at construction.
     """
 
     canonical: str
     class_id: Optional[int] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.canonical and self.class_id is None:
             raise InvalidPathError("answer label is empty")
+        if self.class_id is not None:
+            key = ("class", self.class_id)
+        else:
+            key = ("canon", self.canonical)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, AnswerLabel):
             return NotImplemented
         if self.class_id is not None and other.class_id is not None:
@@ -48,9 +56,7 @@ class AnswerLabel:
         return self.canonical == other.canonical
 
     def __hash__(self):
-        if self.class_id is not None:
-            return hash(("class", self.class_id))
-        return hash(("canon", self.canonical))
+        return self._hash
 
     def __repr__(self):
         if self.class_id is not None:

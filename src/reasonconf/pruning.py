@@ -1,7 +1,8 @@
 """Low-probability path pruning via a two-component Weibull mixture.
 
 The batch's path probabilities are modeled as a mixture of a high and a low
-Weibull component, fitted by deterministic EM under bounded weights.  Paths
+Weibull component, fitted by deterministic EM under bounded weights and
+accelerated by SQUAREM; ``FitConfig.max_iter`` counts EM maps.  Paths
 are kept when their posterior of belonging to the high component reaches
 0.5, or when they clear the batch mean (the truncated-mean guard, which also
 makes the retained set provably non-empty).
@@ -24,6 +25,21 @@ SHAPE_MIN = 1e-3
 SHAPE_MAX = 1e3
 
 _EXP_CAP = 700.0  # exp argument cap to keep log-densities finite
+_LOG_SHAPE_MIN, _LOG_SHAPE_MAX = math.log(SHAPE_MIN), math.log(SHAPE_MAX)
+
+# SQUAREM acceleration of the EM map (Varadhan & Roland 2008, "Simple and
+# globally convergent methods for accelerating the convergence of any EM
+# algorithm", Scand. J. Stat. 35(2)).  The first cycle starts from the
+# iterate _PLAIN_MAPS maps in: from the moment initialization EM moves far
+# and not yet along the slow direction extrapolation follows, and a fit
+# that plain EM finishes within _PLAIN_MAPS + 2 maps takes exactly those.
+# The step length is capped.  As in the SQUAREM package, the cap grows
+# fourfold whenever a step at the cap is accepted; it starts at 4, where the
+# package's cap of 1 stands after its first cycle.  It halves, down to 1 (a
+# plain double map), whenever an extrapolated point is rejected, at the cap
+# or inside it, so a run of rejected steps cannot go on at one length.
+_PLAIN_MAPS = 4
+_STEP_CAP_START = 4.0
 
 
 @dataclass(frozen=True)
@@ -52,7 +68,12 @@ class WeibullParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the mixture fit; defaults are the library's standard run."""
+    """Knobs for the mixture fit; defaults are the library's standard run.
+
+    ``max_iter`` caps the EM maps (log-likelihood evaluations) a fit may
+    take, extrapolated or not; ``tol`` is the log-likelihood change below
+    which a fit stops as converged.
+    """
 
     weight_bounds: Tuple[float, float] = (0.2, 0.8)
     max_iter: int = 200
@@ -174,13 +195,13 @@ def _weighted_mle(
     The shape solves g(k) = S1/S0 - 1/k - mean_r(ln x) = 0, which is
     strictly increasing in k, so a Newton iteration safeguarded by a
     sign-change bracket converges to the unique root; data with no weighted
-    spread push the root to a clamp.  Warm-started from the previous
-    sweep's shape, the solve usually exits after one evaluation once EM has
-    settled.  The scale is then lam = (S0 / sum r)^(1/k), reusing the power
-    sums from the final shape evaluation.
+    spread push the root to a clamp.  Warm-started from the current shape,
+    the solve usually exits after one evaluation once EM has settled.  The
+    scale is then lam = (S0 / sum r)^(1/k), reusing the power sums from the
+    final shape evaluation.
 
-    ``e_start`` may carry ``ws.exp_factor(k_start)`` from the previous
-    sweep; the factor at the returned shape comes back for the next one.
+    ``e_start`` may carry ``ws.exp_factor(k_start)`` from an earlier solve;
+    the factor at the returned shape comes back for the next one.
     """
     t = float(np.dot(r, ws.log_x)) / r_sum
     lo, hi = SHAPE_MIN, SHAPE_MAX
@@ -223,15 +244,67 @@ def _weighted_mle(
     return WeibullParams(shape=k, scale=scale), e
 
 
+def _extrapolate(theta0, theta1, theta2, weight_bounds, step_cap):
+    """SQUAREM (scheme S3) point from three successive EM iterates.
+
+    Works on (w1, ln k1, ln lam1, ln k2, ln lam2): with r = t1 - t0 and
+    v = t2 - 2 t1 + t0 the step length is alpha = -|r| / |v|, held within
+    [-step_cap, -1], and the point is t0 - 2 alpha r + alpha^2 v.  Returns
+    the point and alpha; alpha = -1 gives t2 itself, returned as is.  The
+    weight is clamped to its bounds, the shape to [SHAPE_MIN, SHAPE_MAX]
+    and ln lam to the exp cap, so the point is always a valid parameter set.
+    """
+    log = math.log
+    p0, p1, p2 = [
+        (w, log(c1.shape), log(c1.scale), log(c2.shape), log(c2.scale))
+        for w, c1, c2 in (theta0, theta1, theta2)
+    ]
+    r = [b - a for a, b in zip(p0, p1)]
+    v = [c - 2.0 * b + a for a, b, c in zip(p0, p1, p2)]
+    norm_v = math.hypot(*v)
+    if not norm_v > 0.0:
+        return theta2, -1.0
+    alpha = max(min(-math.hypot(*r) / norm_v, -1.0), -step_cap)
+    if alpha == -1.0:
+        return theta2, alpha
+    w1, lk1, ll1, lk2, ll2 = [
+        a - 2.0 * alpha * d + alpha * alpha * e for a, d, e in zip(p0, r, v)
+    ]
+    lo_w, hi_w = weight_bounds
+    point = (
+        min(max(w1, lo_w), hi_w),
+        WeibullParams(
+            math.exp(min(max(lk1, _LOG_SHAPE_MIN), _LOG_SHAPE_MAX)),
+            math.exp(min(max(ll1, -_EXP_CAP), _EXP_CAP)),
+        ),
+        WeibullParams(
+            math.exp(min(max(lk2, _LOG_SHAPE_MIN), _LOG_SHAPE_MAX)),
+            math.exp(min(max(ll2, -_EXP_CAP), _EXP_CAP)),
+        ),
+    )
+    return point, alpha
+
+
 def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> MixtureFit:
     """Bounded-weight maximum-likelihood fit of the two-Weibull mixture.
 
     Deterministic EM: responsibilities in the E-step, per-component weighted
     Weibull MLE in the M-step (shape from safeguarded root-finding, scale in
     closed form), weights clamped to ``config.weight_bounds``.  Starts from
-    a fixed median-split moment initialization, runs at most
-    ``config.max_iter`` sweeps, and stops once the log-likelihood moves less
-    than ``config.tol``.
+    a fixed median-split moment initialization.
+
+    The EM map F is accelerated by SQUAREM, scheme S3.  After the first
+    ``_PLAIN_MAPS`` plain maps, each cycle takes two plain maps t1 = F(t0)
+    and t2 = F(t1), extrapolates from them (``_extrapolate``) to t', and
+    applies one stabilizing map F(t').  When the log-likelihood at t' is
+    not finite or falls below the one at t1, the cycle falls back to t2 and
+    skips that map's M-step, so accepted log-likelihoods never decrease.
+
+    ``config.max_iter`` caps the number of EM maps, that is of
+    log-likelihood evaluations, which ``n_iter`` reports.  After every map
+    whose point is accepted, the fit stops once the log-likelihood moved
+    less than ``config.tol``; ``converged`` is False only when the cap
+    stopped it first.
 
     Raises FitDegenerateError when fewer than 4 points or fewer than 2
     distinct values are supplied; callers fall back to mean-only pruning.
@@ -250,18 +323,35 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
 
     order = np.argsort(x, kind="stable")
     half = x.size // 2
-    comp1 = _moment_init(x[order[:half]])
-    comp2 = _moment_init(x[order[half:]])
-    w1 = 0.5
+    theta = (0.5, _moment_init(x[order[:half]]), _moment_init(x[order[half:]]))
+    # Each component's last exp factor and the shape it was computed at.
+    k1 = k2 = math.nan
     e1 = e2 = None
+    # The plain iterates of the current cycle; while theta is an
+    # extrapolated point, the t2 to fall back to and the step length.
+    plain = [theta]
+    fallback = None
+    alpha = -1.0
+    step_cap = _STEP_CAP_START
 
     loglik = -math.inf
     converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
+    n_maps = 0
+    while n_maps < config.max_iter:
+        n_maps += 1
+        w1, comp1, comp2 = theta
         l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
         norm = np.logaddexp(l1, l2)
         new_loglik = float(norm.sum())
+        if fallback is not None:
+            if not (math.isfinite(new_loglik) and new_loglik >= loglik):
+                theta, fallback = fallback, None
+                plain = [theta]
+                step_cap = max(1.0, step_cap / 2.0)
+                continue
+            fallback = None
+            if alpha == -step_cap:
+                step_cap *= 4.0
 
         r1 = np.subtract(l1, norm)
         np.exp(r1, out=r1)
@@ -275,16 +365,35 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
         w1 = min(max(r1_sum / x.size, lo_w), hi_w)
 
         if r1_sum > 1e-12:
-            comp1, e1 = _weighted_mle(r1, r1_sum, ws, comp1.shape, e1)
+            comp1, e1 = _weighted_mle(
+                r1, r1_sum, ws, comp1.shape, e1 if comp1.shape == k1 else None
+            )
+            k1 = comp1.shape
         if r2_sum > 1e-12:
-            comp2, e2 = _weighted_mle(r2, r2_sum, ws, comp2.shape, e2)
+            comp2, e2 = _weighted_mle(
+                r2, r2_sum, ws, comp2.shape, e2 if comp2.shape == k2 else None
+            )
+            k2 = comp2.shape
+        theta = (w1, comp1, comp2)
 
         if abs(new_loglik - loglik) < config.tol:
-            loglik = new_loglik
             converged = True
             break
         loglik = new_loglik
 
+        if n_maps <= _PLAIN_MAPS:
+            plain = [theta]
+            continue
+        plain.append(theta)
+        if len(plain) == 3 and n_maps < config.max_iter:
+            theta, alpha = _extrapolate(*plain, config.weight_bounds, step_cap)
+            if theta is not plain[2]:
+                fallback = plain[2]
+            elif alpha == -step_cap:
+                step_cap *= 4.0
+            plain = []
+
+    w1, comp1, comp2 = theta
     l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
     loglik = float(np.logaddexp(l1, l2).sum())
 
@@ -304,7 +413,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
         high_index=high,
         loglik=loglik,
         converged=converged,
-        n_iter=iterations,
+        n_iter=n_maps,
     )
 
 

@@ -3,12 +3,14 @@
 import json
 import logging
 import math
+import re
+from dataclasses import asdict
 
 import pytest
 
 import reasonconf.oracle
-from reasonconf.cli import RunConfig, decompose_rows, main
-from reasonconf import ConfigError
+from reasonconf.cli import RunConfig, _report_doc, decompose_rows, main
+from reasonconf import ConfigError, prune
 from reasonconf.oracle import oracle_from_json
 
 
@@ -241,6 +243,22 @@ class TestErrorHandling:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("fit-mixture", {"probs": ["x", 1]}),
+            ("metrics", [{"confidence": "abc", "correct": True, "selected_answer": "a"}]),
+            ("metrics", [1]),
+        ],
+    )
+    def test_malformed_input_is_an_error_line(self, tmp_path, capsys, command, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main([command, "--input", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_print_defaults(self, capsys):
         assert main(["config", "--print-defaults"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -266,6 +284,21 @@ class TestEstimateOutputs:
         reports = json.loads(report.read_text())
         assert set(reports) == {"p1", "p2"}
         assert "retained_indices" in reports["p1"]
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.9, 0.85, 0.8, 0.3, 0.05, 0.04, 0.03, 0.02], [0.5, 0.3, 0.1]],
+        ids=["fitted", "fallback"],
+    )
+    def test_report_doc_is_the_asdict_document(self, probs):
+        report = prune(probs)
+        assert (report.fit is None) == (len(probs) < 4)
+        expected = asdict(report)
+        if expected["fit"] is None:
+            del expected["fit"]
+        assert json.dumps(_report_doc(report), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
 
     def test_one_row_per_problem_method(self, tmp_path, jsonl_file, capsys):
         cfg = tmp_path / "cfg.json"
@@ -372,3 +405,46 @@ class TestWarnings:
         assert len(messages) == 1
         assert "skipped 3 malformed line(s)" in messages[0]
         assert messages[0].endswith("line(s) 2, 4, 5")
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_capped_fits_warn(self, tmp_path, capsys, caplog, command):
+        probs = [0.3, 0.2, 0.15, 0.12, 0.1, 0.06, 0.04, 0.03]
+        answers = ["A", "B", "A", "C", "B", "A", "C", "D"]
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(
+            json.dumps({"path_probs": probs, "path_answers": answers, "truth": "A"})
+        )
+        dump = tmp_path / "paths.jsonl"
+        dump.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "problem_id": f"p{i % 2}",
+                        "text": f"t{i}",
+                        "token_logprobs": [math.log(p)],
+                        "answer": a,
+                    }
+                )
+                + "\n"
+                for i, (p, a) in enumerate(zip(probs + probs[::-1], answers * 2))
+            )
+        )
+        source = {"simulate": ["--oracle", str(oracle)], "estimate": ["--input", str(dump)]}
+        outputs = []
+        for max_iter in (200, 1):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(
+                json.dumps({"n_grid": [16, 32], "repeats": 2, "fit": {"max_iter": max_iter}})
+            )
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="reasonconf"):
+                assert main([command, "--config", str(cfg)] + source[command]) == 0
+            outputs.append(capsys.readouterr().out)
+            messages = [r.getMessage() for r in caplog.records]
+            if max_iter == 200:
+                assert messages == []
+        # One map never converges: every fit stops at the cap.
+        assert len(messages) == 1
+        match = re.fullmatch(r"(\d+) of (\d+) mixture fits stopped at max_iter", messages[0])
+        assert match and match.group(1) == match.group(2) != "0"
+        assert "mixture fits" not in outputs[1]

@@ -1,6 +1,7 @@
 """Weibull mixture fitting, the high-component posterior, and pruning."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -50,6 +51,85 @@ def single_weibull(k: float, lam: float) -> MixtureFit:
     return MixtureFit(
         comp1=comp, comp2=comp, w1=0.5, w2=0.5, high_index=1, loglik=0.0, converged=True
     )
+
+
+def simulate_prune_batch(seed: int):
+    """Unique-path probabilities shaped like a ``simulate`` RPC batch.
+
+    The oracle holds 500 paths whose probabilities follow a log-normal
+    profile (sigma 1.5) summing to 1; a batch keeps 64-256 distinct paths,
+    drawn with probability proportional to their own.
+    """
+    normal = statistics.NormalDist()
+    profile = np.exp(1.5 * np.array([normal.inv_cdf((i + 0.5) / 500) for i in range(500)]))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    probs = rng.permutation(profile)
+    probs /= probs.sum()
+    size = int(rng.integers(64, 257))
+    return probs[rng.choice(500, size=size, replace=False, p=probs)].tolist()
+
+
+SIMULATE_FAMILY = [simulate_prune_batch(seed) for seed in range(40)]
+
+
+def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
+    """Unaccelerated EM: the reference the accelerated fit must agree with.
+
+    The same start, E-step and M-step as ``fit_mixture``, one sweep at a
+    time, stopping once the log-likelihood moves less than ``tol``.
+    """
+    from reasonconf.pruning import (
+        _log_joint,
+        _moment_init,
+        _ShapeWorkspace,
+        _weighted_mle,
+    )
+
+    x = np.asarray(probs, dtype=float)
+    log_x = np.log(x)
+    ws = _ShapeWorkspace(log_x)
+    order = np.argsort(x, kind="stable")
+    comp1 = _moment_init(x[order[: x.size // 2]])
+    comp2 = _moment_init(x[order[x.size // 2 :]])
+    w1, loglik, converged = 0.5, -math.inf, False
+    for sweep in range(1, max_iter + 1):
+        l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
+        norm = np.logaddexp(l1, l2)
+        new_loglik = float(norm.sum())
+        r1 = np.exp(l1 - norm)
+        r1_sum = float(r1.sum())
+        w1 = min(max(r1_sum / x.size, 0.2), 0.8)
+        comp1 = _weighted_mle(r1, r1_sum, ws, comp1.shape)[0]
+        comp2 = _weighted_mle(1.0 - r1, x.size - r1_sum, ws, comp2.shape)[0]
+        if abs(new_loglik - loglik) < tol:
+            converged = True
+            break
+        loglik = new_loglik
+    l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
+    high = 1 if comp1.log_mean() > comp2.log_mean() else 2
+    return MixtureFit(
+        comp1=comp1,
+        comp2=comp2,
+        w1=w1,
+        w2=1.0 - w1,
+        high_index=high,
+        loglik=float(np.logaddexp(l1, l2).sum()),
+        converged=converged,
+        n_iter=sweep,
+    )
+
+
+def two_mode_batch(seed: int, n: int = 51):
+    """Two well-separated modes like an ingested dump's unique paths.
+
+    Each path's probability is the geometric mean of 256 token
+    probabilities whose negative logs are exponential with mean near 0.3
+    (45% of paths) or near 2.5.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    high = rng.random(n) < 0.45
+    scale = np.where(high, rng.normal(0.3, 0.03, n), rng.normal(2.5, 0.2, n))
+    return [float(np.exp(-np.mean(rng.exponential(s, 256)))) for s in scale]
 
 
 def density(x: float, fit: MixtureFit) -> float:
@@ -158,6 +238,55 @@ class TestFitMixture:
             assert warm == cold
             np.testing.assert_array_equal(warm_e, cold_e)
             np.testing.assert_array_equal(cold_e, ws.exp_factor(cold.shape))
+
+    def test_retained_sets_match_a_tight_plain_em(self):
+        # Plain EM crawls on these batches; run to tol 1e-12 it reaches
+        # the fixed point the accelerated fit must find.  At the default
+        # tol both stop short of it, since |dloglik| < tol says little
+        # where each map gains little: the accelerated fit must still stop
+        # no more than tol below plain EM at the default tol and cap, and
+        # at tol 1e-12 within 1e-9 of the reference.
+        for probs in SIMULATE_FAMILY:
+            ref = plain_em(probs, tol=1e-12, max_iter=100_000)
+            assert ref.converged
+            mean = math.fsum(probs) / len(probs)
+            ref_keep = tuple(
+                i
+                for i, p in enumerate(probs)
+                if p >= mean or p_high(p, ref) >= 0.5
+            )
+            assert prune(probs).retained_indices == ref_keep
+            plain = plain_em(probs, tol=1e-8, max_iter=200)
+            assert fit_mixture(probs).loglik >= plain.loglik - 1e-8
+            tight = fit_mixture(probs, FitConfig(tol=1e-12, max_iter=100_000))
+            assert tight.loglik >= ref.loglik - 1e-9
+
+    def test_converges_within_the_default_cap(self):
+        fits = [fit_mixture(probs) for probs in SIMULATE_FAMILY]
+        assert all(fit.converged for fit in fits)
+        assert max(fit.n_iter for fit in fits) < FitConfig().max_iter
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 24, 200])
+    def test_n_iter_never_exceeds_max_iter(self, max_iter):
+        cfg = FitConfig(max_iter=max_iter)
+        batches = SIMULATE_FAMILY[:8] + [bimodal_sample(seed=s)[0].tolist() for s in range(4)]
+        for probs in batches:
+            fit = fit_mixture(probs, cfg)
+            assert fit.n_iter <= max_iter
+            assert fit.converged or fit.n_iter == max_iter
+
+    # (seed, EM sweeps of the unaccelerated fit, maps now): fits that plain
+    # EM finishes within the first plain maps take exactly as many.
+    @pytest.mark.parametrize(
+        "seed,plain_sweeps,maps",
+        [(0, 6, 6), (1, 6, 6), (2, 4, 4), (3, 5, 5), (4, 10, 9), (5, 3, 3), (12, 7, 7)],
+    )
+    def test_two_mode_fits_take_no_extra_maps(self, seed, plain_sweeps, maps):
+        probs = two_mode_batch(seed)
+        assert plain_em(probs, tol=1e-8, max_iter=200).n_iter == plain_sweeps
+        fit = fit_mixture(probs)
+        assert fit.converged
+        assert fit.n_iter == maps <= plain_sweeps
 
     def test_weight_bounds_respected(self):
         for seed in range(4):
