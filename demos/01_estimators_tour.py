@@ -45,7 +45,7 @@ for kind in ("SC", "PPL", "PC", "RPC"):
     for key, value in conf.items():
         name = key.text if kind == "PPL" else key.canonical
         print(f"  {name!r}: {value:.4f}")
-    answer, value = selection_for_scoring(kind, conf)
+    answer, value = selection_for_scoring(conf)
     print(f"  -> selects {answer.canonical!r} at {value:.4f}\n")
 
 # The pruning report shows what RPC removed and why.

@@ -44,7 +44,7 @@ for method in METHODS:
         for r in range(REPEATS):
             batch = sample_batch(oracle, n, derive_seed(123, n, r))
             conf = estimate(method, batch)
-            answer, value = selection_for_scoring(method, conf)
+            answer, value = selection_for_scoring(conf)
             correct = answer == oracle.truth
             accuracies.append(1.0 if correct else 0.0)
             scored[method].append((value, correct))

@@ -41,7 +41,6 @@ from .oracle import (
     oracle_from_json,
     sample_batch,
     sample_count_matrix,
-    true_answer_prob,
 )
 from .estimators import (
     ESTIMATOR_KINDS,

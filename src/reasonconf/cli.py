@@ -47,6 +47,7 @@ from .oracle import (
     exact_estimator_moments,
     load_oracle,
     sample_batch,
+    target_paths,
 )
 from .paths import ScoredKey, canonicalize_answer, unique_paths
 from .pruning import FitConfig, MixtureFit, PruningReport, fit_mixture
@@ -101,18 +102,20 @@ class RunConfig:
                 raise ConfigError(f"unknown estimator kind {m!r}")
         if merged["prob_mode"] not in ("joint", "length_normalized"):
             raise ConfigError(f"unknown prob_mode {merged['prob_mode']!r}")
-        n_grid = tuple(int(n) for n in merged["n_grid"])
+        n_grid = tuple(_whole("n_grid", n) for n in merged["n_grid"])
         if any(n < 1 for n in n_grid):
             raise ConfigError("n_grid entries must be positive")
-        counts = {key: int(merged[key]) for key in ("repeats", "trials", "bins")}
+        counts = {key: _whole(key, merged[key]) for key in ("repeats", "trials", "bins")}
         for key, value in counts.items():
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1")
         truths = merged["truths"]
         if truths is not None:
-            truths = {str(k): str(v) for k, v in truths.items()}
+            if not all(isinstance(v, str) for v in truths.values()):
+                raise ConfigError("truths values must be strings")
+            truths = {str(k): v for k, v in truths.items()}
         return cls(
-            seed=int(merged["seed"]),
+            seed=_whole("seed", merged["seed"]),
             methods=methods,
             prob_mode=merged["prob_mode"],
             n_grid=n_grid,
@@ -136,6 +139,13 @@ class RunConfig:
         return cls.from_doc(doc)
 
 
+def _whole(key: str, value) -> int:
+    """An integer config value: a bool or a fractional number is malformed."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} {value!r} is not a whole number")
+    return int(value)
+
+
 def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
     """Sample, estimate, select, and score each (method, n, repeat) cell.
 
@@ -153,7 +163,7 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
                     fits.append(report.fit)
                 else:
                     conf = estimate(method, batch, cfg.fit)
-                answer, value = selection_for_scoring(method, conf)
+                answer, value = selection_for_scoring(conf)
                 hit = 1.0 if answer == oracle.truth else 0.0
                 rows.append((method, n, r, hit, abs(value - hit)))
     _warn_capped(fits)
@@ -176,8 +186,8 @@ def _convergence_target(oracle: OracleSpec, method: str) -> ScoredKey:
     """The truth, or for PPL the first oracle path carrying it (else path 0)."""
     if method != "PPL":
         return oracle.truth
-    paths = oracle.paths
-    return next((p for p in paths if p.answer == oracle.truth), paths[0])
+    indices = target_paths(oracle, oracle.truth)[0]
+    return oracle.paths[indices[0] if indices else 0]
 
 
 def _closed_form_estimation(
@@ -190,7 +200,7 @@ def _closed_form_estimation(
     if method == "PPL":
         return ppl_closed_form(p, n, correct).estimation_error
     if method == "PC":
-        k = max(1, sum(1 for a in oracle.path_answers if a == oracle.truth))
+        k = max(1, len(target_paths(oracle, oracle.truth)[0]))
         return pc_closed_form(p, k, n, correct).estimation_error
     raise ConfigError(f"no closed form for method {method!r}")
 
@@ -316,7 +326,7 @@ def estimate_rows(
                 fits.append(report.fit)
             else:
                 conf = estimate(method, batch, cfg.fit)
-            answer, value = selection_for_scoring(method, conf)
+            answer, value = selection_for_scoring(conf)
             rows.append(
                 ResultRow(
                     problem_id=pid,
@@ -432,9 +442,8 @@ def _cmd_metrics(args) -> str:
         scored = [(float(r["confidence"]), bool(r["correct"])) for r in rows]
     except (TypeError, ValueError) as exc:
         raise ReasonConfError(f"malformed results document: {exc}") from exc
-    pairs = [(r["selected_answer"], r["correct"]) for r in rows]
     bins = reliability_bins(scored, cfg.bins)
-    acc = sum(1 for _, c in pairs if c) / len(pairs)
+    acc = sum(1 for _, c in scored if c) / len(scored)
     doc = {"accuracy": acc, "ece": bins.ece(), "bins": asdict(bins)}
     if args.format == "csv":
         return render_csv(

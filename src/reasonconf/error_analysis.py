@@ -22,7 +22,6 @@ from .oracle import (
     indicator,
     sample_count_matrix,
     target_paths,
-    true_answer_prob,
 )
 from .paths import AnswerLabel, ScoredKey
 
@@ -167,15 +166,13 @@ def empirical_prune_failure_rate(
     """
     if trials < 100:
         raise DomainError(f"need at least 100 trials, got {trials}")
+    indices, truth_mass, _ = target_paths(oracle, oracle.truth)
     if tau is None:
-        tau = true_answer_prob(oracle, oracle.truth)
-    probs = np.asarray(oracle.path_probs)
-    correct = np.asarray(
-        [a == oracle.truth for a in oracle.path_answers], dtype=bool
-    )
-    counts = sample_count_matrix(oracle, n, trials, seed)
-    k_hat = counts[:, correct].sum(axis=1)
-    mass = (counts[:, correct] * probs[correct]).sum(axis=1)
+        tau = truth_mass
+    correct = list(indices)
+    counts = sample_count_matrix(oracle, n, trials, seed)[:, correct]
+    k_hat = counts.sum(axis=1)
+    mass = (counts * np.asarray(oracle.path_probs)[correct]).sum(axis=1)
     with np.errstate(invalid="ignore"):
         mean_prob = np.where(k_hat > 0, mass / np.maximum(k_hat, 1), 0.0)
     failures = (k_hat == 0) | (mean_prob < tau)
@@ -253,18 +250,13 @@ def monte_carlo_estimation_error(
     Runs on the per-trial sample-count matrix, which determines the SC, PPL
     and PC statistics without materializing path objects; a cross-check
     against the object-level estimators is part of the test suite.
-    ``target_paths`` resolves the target to the paths with that answer (SC,
-    PC) or to the oracle path it is (PPL).  SC estimates their vote
-    fraction; PC, and PPL over its one path, the summed mass of those that
-    were sampled.
+    ``target_paths`` resolves the target: an answer (SC, PC) to its paths,
+    an oracle path (PPL) to itself.  SC estimates their vote fraction; PC,
+    and PPL over its one path, the summed mass of those that were sampled.
     """
-    if kind in ("SC", "PC"):
-        labels = oracle.path_answers
-    elif kind == "PPL":
-        labels = oracle.paths
-    else:
+    if kind not in ("SC", "PPL", "PC"):
         raise ValueError(f"no fast Monte Carlo route for estimator {kind!r}")
-    indices, true_p, is_correct = target_paths(oracle, labels, target)
+    indices, true_p, is_correct = target_paths(oracle, target)
     idx = list(indices)
     counts = sample_count_matrix(oracle, n, trials, seed)[:, idx]
     if kind == "SC":

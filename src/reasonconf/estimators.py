@@ -89,15 +89,13 @@ def estimate(
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def selection_for_scoring(
-    kind: EstimatorKind, conf: ConfidenceMap
-) -> Tuple[AnswerLabel, float]:
+def selection_for_scoring(conf: ConfidenceMap) -> Tuple[AnswerLabel, float]:
     """Selected answer and its confidence clamped to [0, 1], for scoring.
 
-    PPL selects over paths, so the winning path's answer is reported; the
-    other estimators already select answers.  Every confidence is positive,
-    but a probability sum can exceed 1 on ingested paths, hence the cap.
+    A path key (PPL selects over paths) reports its answer; an answer key
+    is the answer.  Every confidence is positive, but a probability sum can
+    exceed 1 on ingested paths, hence the cap.
     """
     key, value = select_answer(conf)
-    answer = key.answer if kind == "PPL" else key
+    answer = key.answer if isinstance(key, ReasoningPath) else key
     return answer, min(value, 1.0)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -77,17 +77,28 @@ def oracle_from_json(doc: dict) -> OracleSpec:
     """Build an oracle from its JSON document form.
 
     Schema: ``{"path_probs": [...], "path_answers": ["A", ...], "truth": "A"}``.
-    Answer strings are used verbatim as labels.
+    Probabilities must be numbers, not booleans; answer strings are used
+    verbatim as labels.
     """
     try:
-        probs = tuple(float(q) for q in doc["path_probs"])
-        answers = tuple(AnswerLabel(str(a)) for a in doc["path_answers"])
-        truth = AnswerLabel(str(doc["truth"]))
+        probs, answers, truth = doc["path_probs"], doc["path_answers"], doc["truth"]
+        if not (
+            isinstance(probs, list)
+            and isinstance(answers, list)
+            and all(type(q) in (int, float) for q in probs)
+            and all(isinstance(a, str) for a in (*answers, truth))
+        ):
+            raise TypeError("path_probs must hold numbers, path_answers and truth strings")
+        probs = tuple(float(q) for q in probs)
     except KeyError as exc:
         raise ReasonConfError(f"oracle document missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise ReasonConfError(f"malformed oracle document: {exc}") from exc
-    return OracleSpec(path_probs=probs, path_answers=answers, truth=truth)
+    return OracleSpec(
+        path_probs=probs,
+        path_answers=tuple(AnswerLabel(a) for a in answers),
+        truth=AnswerLabel(truth),
+    )
 
 
 def load_oracle(path: str) -> OracleSpec:
@@ -95,29 +106,23 @@ def load_oracle(path: str) -> OracleSpec:
         return oracle_from_json(json.load(fh))
 
 
-def true_answer_prob(oracle: OracleSpec, ans: AnswerLabel) -> float:
-    """Exact probability mass of an answer: sum over its paths, 0 if absent."""
-    return target_paths(oracle, oracle.path_answers, ans)[1]
-
-
 def target_paths(
-    oracle: OracleSpec, labels: Sequence[ScoredKey], target: ScoredKey
+    oracle: OracleSpec, target: ScoredKey
 ) -> Tuple[Tuple[int, ...], float, bool]:
     """The oracle paths a target stands for, their mass, and correctness.
 
-    ``labels[i]`` is the key an estimator files oracle path i under: the
-    path's answer for the answer-keyed estimators, the path itself for PPL.
-    The target stands for every path filed under it; it is correct when
-    the first such path carries the truth, or, if it stands for no path,
-    when the target is the truth itself.
+    The key type decides: a ``ReasoningPath`` target stands for the oracle
+    paths equal to it, an ``AnswerLabel`` target for every path with that
+    answer.  The target is correct when its answer (a path's answer, or
+    the label itself) is the truth, whether or not it stands for any path.
     """
-    indices = tuple(i for i, key in enumerate(labels) if key == target)
-    mass = math.fsum(oracle.path_probs[i] for i in indices)
-    if indices:
-        is_correct = oracle.path_answers[indices[0]] == oracle.truth
+    if isinstance(target, ReasoningPath):
+        keys, answer = oracle.paths, target.answer
     else:
-        is_correct = target == oracle.truth
-    return indices, mass, is_correct
+        keys, answer = oracle.path_answers, target
+    indices = tuple(i for i, key in enumerate(keys) if key == target)
+    mass = math.fsum(oracle.path_probs[i] for i in indices)
+    return indices, mass, answer == oracle.truth
 
 
 def sample_batch(oracle: OracleSpec, n: int, seed: int) -> SampleBatch:
@@ -202,16 +207,6 @@ class OutcomeEnumeration(TargetErrors):
         return self.reasoning_error - self.model_error
 
 
-def _estimator_key(estimator: EstimatorFn, path: ReasoningPath) -> Optional[ScoredKey]:
-    """The key under which an estimator files a lone path, if any."""
-    conf = estimator(SampleBatch(paths=(path,), problem_id="probe"))
-    if not conf:
-        return None
-    if len(conf) != 1:
-        raise ReasonConfError("estimator produced multiple entries for one path")
-    return next(iter(conf))
-
-
 def exact_estimator_moments(
     oracle: OracleSpec,
     n: int,
@@ -225,11 +220,9 @@ def exact_estimator_moments(
     orderings of a count vector c share one value, so each count vector is
     evaluated once, on its non-decreasing ordering, and weighted by its
     multinomial probability n!/prod(c_i!) * prod(q_i^c_i).  The value is
-    read off for ``target``.  The estimator is probed with one-path batches
-    to learn the key it files each oracle path under, and
-    :func:`target_paths` turns those keys into the target's true
-    probability and correctness, so the computation works for answer-keyed
-    estimators (target an answer) and PPL (target an oracle path) alike.
+    read off for ``target``, whose true probability and correctness come
+    from :func:`target_paths`: an answer for the answer-keyed estimators,
+    an oracle path for PPL.
 
     Raises EnumerationTooLargeError when the M^n ordered outcomes the
     count vectors stand for exceed 10^7.
@@ -243,8 +236,7 @@ def exact_estimator_moments(
         )
 
     paths = oracle.paths
-    keys = [_estimator_key(estimator, path) for path in paths]
-    _, true_prob, is_correct = target_paths(oracle, keys, target)
+    _, true_prob, is_correct = target_paths(oracle, target)
     ind = indicator(is_correct)
 
     outcome_probs: List[float] = []

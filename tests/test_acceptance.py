@@ -370,7 +370,7 @@ def test_c10_directional_method_ordering():
             for r in range(seeds):
                 b = sample_batch(spec, n, derive_seed(base, n, r))
                 conf = estimate(method, b)
-                answer, _ = selection_for_scoring(method, conf)
+                answer, _ = selection_for_scoring(conf)
                 hits += answer == spec.truth
             return hits / seeds
 

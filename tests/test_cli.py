@@ -229,6 +229,20 @@ class TestErrorHandling:
             ("--oracle", [1]),
             ("--oracle", {"path_probs": ["x"], "path_answers": ["A"], "truth": "A"}),
             ("--oracle", {"path_probs": 1, "path_answers": ["A"], "truth": "A"}),
+            ("--config", {"truths": {"p1": None}}),
+            ("--config", {"truths": {"p1": 42}}),
+            ("--config", {"seed": True}),
+            ("--config", {"n_grid": [4.9]}),
+            ("--config", {"repeats": 2.7}),
+            ("--config", {"trials": True}),
+            ("--config", {"bins": 1.5}),
+            ("--config", {"seed": math.inf}),
+            ("--oracle", {"path_probs": [True], "path_answers": ["A"], "truth": "A"}),
+            ("--oracle", {"path_probs": ["0.5", 0.5], "path_answers": ["A", "B"], "truth": "A"}),
+            ("--oracle", {"path_probs": [1.0], "path_answers": [None], "truth": "A"}),
+            ("--oracle", {"path_probs": [1.0], "path_answers": [1], "truth": "1"}),
+            ("--oracle", {"path_probs": [1.0], "path_answers": ["A"], "truth": None}),
+            ("--oracle", {"path_probs": [10**400], "path_answers": ["A"], "truth": "A"}),
         ],
     )
     def test_malformed_document_is_an_error_line(
@@ -240,6 +254,8 @@ class TestErrorHandling:
         argv = ["convergence"] + [arg for pair in files.items() for arg in pair]
         assert main(argv) == 1
         captured = capsys.readouterr()
+        if flag == "--oracle":
+            assert captured.err.startswith("error: malformed oracle document: ")
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
@@ -258,6 +274,18 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    def test_metrics_reads_only_confidence_and_correct(self, tmp_path, capsys):
+        results = tmp_path / "results.json"
+        results.write_text(
+            json.dumps(
+                [{"confidence": 0.7, "correct": True}, {"confidence": 0.2, "correct": False}]
+            )
+        )
+        assert main(["metrics", "--input", str(results), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["accuracy"] == 0.5
+        assert doc["bins"]["counts"][1] == doc["bins"]["counts"][6] == 1
 
     def test_print_defaults(self, capsys):
         assert main(["config", "--print-defaults"]) == 0

@@ -150,8 +150,8 @@ class TestPrunedProbabilitySums:
 
     def test_distinct_answer_batches_select_like_path_estimator(self):
         b = batch(("t1", 0.5, "A"), ("t2", 0.3, "B"), ("t3", 0.1, "C"))
-        pc_pick = selection_for_scoring("PC", pc_confidence(b))
-        ppl_pick = selection_for_scoring("PPL", ppl_confidence(b))
+        pc_pick = selection_for_scoring(pc_confidence(b))
+        ppl_pick = selection_for_scoring(ppl_confidence(b))
         assert pc_pick[0] == ppl_pick[0]
 
 
@@ -169,7 +169,7 @@ class TestDispatch:
 
     def test_path_selection_maps_to_answer(self):
         b = batch(("t1", 0.5, "A"), ("t2", 0.3, "B"))
-        answer, value = selection_for_scoring("PPL", ppl_confidence(b))
+        answer, value = selection_for_scoring(ppl_confidence(b))
         assert answer == label("A")
         assert value == 0.5
 
@@ -177,7 +177,7 @@ class TestDispatch:
         # Ingested paths' probabilities need not sum to 1 across paths.
         b = batch(("t1", 0.8, "A"), ("t2", 0.7, "A"), ("t3", 0.9, "B"))
         assert pc_confidence(b)[label("A")] == pytest.approx(1.5)
-        assert selection_for_scoring("PC", pc_confidence(b)) == (label("A"), 1.0)
+        assert selection_for_scoring(pc_confidence(b)) == (label("A"), 1.0)
 
 
 class TestConfidenceMaps:

@@ -20,8 +20,8 @@ from reasonconf import (
     rpc_confidence,
     sample_batch,
     sc_confidence,
-    true_answer_prob,
 )
+from reasonconf.oracle import target_paths
 
 from conftest import label, oracle, path
 
@@ -40,21 +40,51 @@ class TestOracleSpec:
             {"path_probs": [0.6, 0.4], "path_answers": ["A", "B"], "truth": "A"}
         )
         assert spec.truth == label("A")
-        assert true_answer_prob(spec, label("A")) == pytest.approx(0.6, abs=1e-15)
+        assert target_paths(spec, label("A"))[1] == pytest.approx(0.6, abs=1e-15)
 
 
 class TestTrueAnswerProb:
     def test_sums_matching_paths(self):
         spec = oracle([0.6, 0.3, 0.1], ["A", "A", "B"], "A")
-        assert true_answer_prob(spec, label("A")) == pytest.approx(0.9, abs=1e-12)
+        assert target_paths(spec, label("A"))[1] == pytest.approx(0.9, abs=1e-12)
 
     def test_absent_answer_is_zero(self):
         spec = oracle([0.6, 0.3, 0.1], ["A", "A", "B"], "A")
-        assert true_answer_prob(spec, label("C")) == 0.0
+        assert target_paths(spec, label("C"))[1] == 0.0
 
     def test_single_path(self):
         spec = oracle([1.0], ["A"], "A")
-        assert true_answer_prob(spec, label("A")) == 1.0
+        assert target_paths(spec, label("A"))[1] == 1.0
+
+
+class TestTargetPaths:
+    """The key type decides which oracle paths a target stands for."""
+
+    def test_path_target_stands_for_itself(self):
+        spec = oracle([0.6, 0.3, 0.1], ["A", "A", "B"], "A")
+        assert target_paths(spec, spec.paths[1]) == ((1,), 0.3, True)
+        assert target_paths(spec, spec.paths[2]) == ((2,), 0.1, False)
+
+    def test_answer_target_stands_for_its_paths(self):
+        spec = oracle([0.6, 0.3, 0.1], ["A", "A", "B"], "A")
+        indices, mass, is_correct = target_paths(spec, label("A"))
+        assert (indices, is_correct) == ((0, 1), True)
+        assert mass == pytest.approx(0.9, abs=1e-15)
+        assert target_paths(spec, label("B")) == ((2,), 0.1, False)
+
+    def test_absent_answer_that_is_the_truth(self):
+        spec = oracle([0.7, 0.3], ["A", "B"], "C")
+        assert target_paths(spec, label("C")) == ((), 0.0, True)
+
+    def test_absent_answer_that_is_not_the_truth(self):
+        spec = oracle([0.7, 0.3], ["A", "B"], "C")
+        assert target_paths(spec, label("D")) == ((), 0.0, False)
+
+    def test_path_outside_the_oracle_stands_for_no_path(self):
+        # Equal text and answer are not enough: a path is all its fields.
+        spec = oracle([0.6, 0.4], ["A", "B"], "A")
+        assert target_paths(spec, path("t0", 0.5, "A")) == ((), 0.0, True)
+        assert target_paths(spec, path("elsewhere", 0.4, "B")) == ((), 0.0, False)
 
 
 class TestSampleBatch:
@@ -126,6 +156,38 @@ class TestExactEstimatorMoments:
         spec = oracle([0.1] * 10, [f"a{i}" for i in range(10)], "a0")
         with pytest.raises(EnumerationTooLargeError):
             exact_estimator_moments(spec, 8, sc_confidence, label("a0"))
+
+    @pytest.mark.parametrize("kind", ["SC", "PPL", "RPC"])
+    def test_one_estimator_call_per_count_vector(self, kind):
+        # Nothing but the count vectors is evaluated: no probe batches.
+        spec = oracle((0.4, 0.3, 0.2, 0.1), ("A", "B", "A", "C"), "A")
+        calls = []
+
+        def counting(batch):
+            calls.append(batch.n)
+            return _ESTIMATORS[kind](batch)
+
+        target = spec.paths[0] if kind == "PPL" else label("A")
+        for n in range(1, 6):
+            calls.clear()
+            exact_estimator_moments(spec, n, counting, target)
+            assert calls == [n] * math.comb(n + spec.num_paths - 1, n)
+
+    def test_key_type_resolves_mismatched_targets(self):
+        # A path target on an answer-keyed estimator stands for that path;
+        # the estimator never files a value under it.
+        spec = oracle([0.6, 0.4], ["A", "B"], "A")
+        enum = exact_estimator_moments(spec, 2, sc_confidence, spec.paths[1])
+        assert (enum.true_prob, enum.is_correct, enum.expectation) == (0.4, False, 0.0)
+
+    def test_estimator_with_several_keys_per_path(self):
+        spec = oracle([0.6, 0.4], ["A", "B"], "A")
+
+        def doubled(batch):
+            return {**sc_confidence(batch), label("any"): 1.0}
+
+        enum = exact_estimator_moments(spec, 2, doubled, label("A"))
+        assert enum.expectation == pytest.approx(0.6, abs=1e-15)
 
     def test_absent_target_scores_zero_mass(self):
         spec = oracle([0.7, 0.3], ["A", "B"], "C")
@@ -256,7 +318,7 @@ class TestVoteEstimatorIsUnbiased:
                 for target in targets:
                     enum = exact_estimator_moments(spec, n, sc_confidence, target)
                     assert enum.expectation == pytest.approx(
-                        true_answer_prob(spec, target), abs=1e-12
+                        target_paths(spec, target)[1], abs=1e-12
                     )
 
     def test_decomposition_identity_for_votes(self):
@@ -301,7 +363,7 @@ class TestMonteCarloAgreesWithEnumeration:
         # streams, so agreement is distributional: compare means against
         # their pooled standard error.
         spec = oracle([0.5, 0.25, 0.25], ["A", "A", "B"], "A")
-        p = true_answer_prob(spec, label("A"))
+        p = target_paths(spec, label("A"))[1]
         trials = 4000
         sq = []
         for t in range(trials):

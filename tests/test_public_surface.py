@@ -42,3 +42,41 @@ def test_every_export_is_used_by_the_library_a_demo_or_the_readme():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert not unpromised, f"exported but unused and not in README.md: {unpromised}"
+
+
+def _unread_imports(source):
+    """Names a module imports but never reads; ``__future__`` is exempt."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
+def test_unread_imports_are_detected():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "from typing import List, Optional\n"
+        "x: List[int] = os.sep\n"
+    )
+    assert _unread_imports(source) == ["Optional", "osp"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = {
+        file.name: names
+        for file in sorted(PACKAGE.glob("*.py"))
+        if file.name != "__init__.py"
+        and (names := _unread_imports(file.read_text(encoding="utf-8")))
+    }
+    assert not unread, f"imported but never read: {unread}"
