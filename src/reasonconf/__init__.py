@@ -86,10 +86,8 @@ from .metrics import (
     reliability_bins,
 )
 from .ingest import (
-    PathRecord,
     ResultRow,
     load_jsonl,
-    load_records,
     render_results,
 )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -39,7 +40,7 @@ from .error_analysis import (
     ppl_closed_form,
     sc_closed_form,
 )
-from .ingest import ResultRow, load_jsonl, render_csv, render_results
+from .ingest import ResultRow, load_jsonl, read_json_document, render_csv, render_results
 from .metrics import reliability_bins
 from .oracle import (
     OracleSpec,
@@ -77,11 +78,11 @@ class RunConfig:
         """Validate and coerce a config document.
 
         A value of the wrong type or shape raises ConfigError, as does an
-        unknown key or a count below 1.
+        unknown key, a count below 1 or a ``tol`` that is not above 0.
         """
         try:
             return cls._coerce(doc)
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
     @classmethod
@@ -96,6 +97,12 @@ class RunConfig:
         if fit_unknown:
             raise ConfigError(f"unknown fit config keys: {sorted(fit_unknown)}")
         fit_merged = {**defaults["fit"], **fit_doc}
+        weight_bounds = tuple(fit_merged["weight_bounds"])
+        if not all(type(w) in (int, float) for w in weight_bounds):
+            raise ConfigError(f"weight_bounds {weight_bounds!r} must hold numbers")
+        tol = fit_merged["tol"]
+        if type(tol) not in (int, float) or not (0 < tol < math.inf):
+            raise ConfigError(f"tol {tol!r} is not a finite number > 0")
         methods = tuple(merged["methods"])
         for m in methods:
             if m not in ESTIMATOR_KINDS:
@@ -121,9 +128,9 @@ class RunConfig:
             n_grid=n_grid,
             truths=truths,
             fit=FitConfig(
-                weight_bounds=tuple(fit_merged["weight_bounds"]),
-                max_iter=int(fit_merged["max_iter"]),
-                tol=float(fit_merged["tol"]),
+                weight_bounds=weight_bounds,
+                max_iter=_whole("max_iter", fit_merged["max_iter"]),
+                tol=float(tol),
             ),
             **counts,
         )
@@ -132,16 +139,15 @@ class RunConfig:
     def load(cls, path: Optional[str], seed_override: Optional[int]) -> "RunConfig":
         doc = {}
         if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = read_json_document(path, "config")
         if seed_override is not None:
             doc = {**doc, "seed": seed_override}
         return cls.from_doc(doc)
 
 
 def _whole(key: str, value) -> int:
-    """An integer config value: a bool or a fractional number is malformed."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer config value: anything but an int or a whole float is malformed."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
         raise ConfigError(f"{key} {value!r} is not a whole number")
     return int(value)
 
@@ -423,12 +429,13 @@ def _cmd_fit_mixture(args) -> str:
                 fits[pid] = {"degenerate": True, "reason": str(exc)}
         doc = {"problems": fits}
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        probs = payload["probs"] if isinstance(payload, dict) else payload
+        payload = read_json_document(args.input, "probs")
         try:
+            probs = payload["probs"] if isinstance(payload, dict) else payload
+            if not all(type(p) in (int, float) for p in probs):
+                raise TypeError("probs must hold numbers")
             probs = [float(p) for p in probs]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, KeyError, OverflowError) as exc:
             raise ReasonConfError(f"malformed probs document: {exc}") from exc
         doc = {"fit": asdict(fit_mixture(probs, cfg.fit))}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -436,11 +443,12 @@ def _cmd_fit_mixture(args) -> str:
 
 def _cmd_metrics(args) -> str:
     cfg = RunConfig.load(args.config, args.seed)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        rows = json.load(fh)
+    rows = read_json_document(args.input, "results")
     try:
-        scored = [(float(r["confidence"]), bool(r["correct"])) for r in rows]
-    except (TypeError, ValueError) as exc:
+        scored = [(r["confidence"], r["correct"]) for r in rows]
+        if not all(type(c) in (int, float) and type(ok) is bool for c, ok in scored):
+            raise TypeError("confidence must be a number and correct a boolean")
+    except (TypeError, KeyError) as exc:
         raise ReasonConfError(f"malformed results document: {exc}") from exc
     bins = reliability_bins(scored, cfg.bins)
     acc = sum(1 for _, c in scored if c) / len(scored)
@@ -526,7 +534,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.fn(args)
-    except (ReasonConfError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ReasonConfError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(text, args.out)

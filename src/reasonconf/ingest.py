@@ -6,9 +6,9 @@ One record per line:
      "answer": "42", "class_id": 3, "ext_score": 0.8}
 
 ``class_id`` and ``ext_score`` are optional; ``ext_score`` is validated
-and then ignored.  Each line's token log-probs are summed once, at parse
-time.  Records are grouped into batches by problem id in file order;
-probabilities are derived in the configured mode.
+and then ignored.  Each line becomes its path as it is read: the token
+log-probs are summed once and the probability derived in the configured
+mode.  Paths are grouped into batches by problem id in file order.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from .errors import ParseError, ReasonConfError
+from .errors import InvalidPathError, ParseError, ReasonConfError
 from .paths import (
     ProbMode,
     ReasoningPath,
@@ -39,24 +39,12 @@ _OPTIONAL_KEYS = ("class_id", "ext_score")
 _NUMBER_TYPES = frozenset((int, float))
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """One validated JSONL line, its token log-probs reduced to their sum.
+def parse_record(obj: dict, line_no: int, mode: ProbMode) -> Tuple[str, ReasoningPath]:
+    """Validate one decoded JSONL object into its problem id and path.
 
-    ``logprob_sum`` is the exact sum of the ``n_tokens`` token log-probs,
-    or ``-inf`` when that sum lies past the float range.
+    The token log-probs are summed exactly (``-inf`` when the sum lies
+    past the float range) and the path probability derived in ``mode``.
     """
-
-    problem_id: str
-    text: str
-    logprob_sum: float
-    n_tokens: int
-    answer: str
-    class_id: Optional[int] = None
-
-
-def parse_record(obj: dict, line_no: int) -> PathRecord:
-    """Validate one decoded JSONL object into a PathRecord."""
     if not isinstance(obj, dict):
         raise ParseError(line_no, "record is not a JSON object")
     for key in _REQUIRED_KEYS:
@@ -101,14 +89,12 @@ def parse_record(obj: dict, line_no: int) -> PathRecord:
     ):
         raise ParseError(line_no, f"ext_score {ext_score!r} outside [0, 1]")
 
-    return PathRecord(
-        problem_id=obj["problem_id"],
-        text=obj["text"],
-        logprob_sum=logprob_sum,
-        n_tokens=len(logprobs),
-        answer=answer,
-        class_id=class_id,
-    )
+    try:
+        label = canonicalize_answer(answer, class_id)
+    except InvalidPathError as exc:
+        raise ParseError(line_no, str(exc)) from None
+    path = make_path(obj["text"], logprob_sum, len(logprobs), label, mode)
+    return obj["problem_id"], path
 
 
 def _is_logprob(value) -> bool:
@@ -120,30 +106,42 @@ def _is_logprob(value) -> bool:
         return False
 
 
-def load_records(path: str, strict: bool = True) -> List[PathRecord]:
-    """Parse a JSONL file into records, collecting per-line errors.
+def load_jsonl(
+    path: str, mode: ProbMode, strict: bool = True
+) -> Dict[str, SampleBatch]:
+    """Read a JSONL file into one batch per problem, in file order.
 
-    In strict mode any malformed line aborts the run with a combined
-    message; in lenient mode malformed lines are skipped with a warning
-    that gives their count and first line numbers.
+    A problem's records must all carry ``class_id`` or all omit it, as
+    its first valid line does.  In strict mode any malformed line aborts
+    the run with a combined message; in lenient mode malformed lines are
+    skipped with a warning that gives their count and first line numbers.
     """
-    records: List[PathRecord] = []
+    grouped: Dict[str, List[ReasoningPath]] = {}
+    has_class: Dict[str, bool] = {}
     problems: List[ParseError] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                # JSONDecodeError, or an integer past Python's digit limit.
-                detail = getattr(exc, "msg", str(exc))
-                problems.append(ParseError(line_no, f"invalid JSON: {detail}"))
-                continue
-            try:
-                records.append(parse_record(obj, line_no))
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    # JSONDecodeError, or an integer past Python's digit limit.
+                    detail = getattr(exc, "msg", str(exc))
+                    raise ParseError(line_no, f"invalid JSON: {detail}") from None
+                problem_id, parsed = parse_record(obj, line_no, mode)
+                carries = parsed.answer.class_id is not None
+                if has_class.setdefault(problem_id, carries) != carries:
+                    raise ParseError(
+                        line_no,
+                        f"problem {problem_id!r} mixes records with and without "
+                        "class_id; answer comparison would be ambiguous",
+                    )
             except ParseError as exc:
                 problems.append(exc)
+                continue
+            grouped.setdefault(problem_id, []).append(parsed)
     if problems and strict:
         details = "; ".join(str(p) for p in problems)
         raise ReasonConfError(f"{len(problems)} malformed line(s): {details}")
@@ -151,34 +149,19 @@ def load_records(path: str, strict: bool = True) -> List[PathRecord]:
         first = ", ".join(str(p.line_no) for p in problems[:5])
         msg = "skipped %d malformed line(s) of %s, first at line(s) %s"
         logger.warning(msg, len(problems), path, first)
-    return records
-
-
-def load_jsonl(
-    path: str, mode: ProbMode, strict: bool = True
-) -> Dict[str, SampleBatch]:
-    """Load and group records into one batch per problem, in file order."""
-    records = load_records(path, strict=strict)
-    grouped: Dict[str, List[ReasoningPath]] = {}
-    has_class: Dict[str, bool] = {}
-    for record in records:
-        carries = record.class_id is not None
-        if record.problem_id in has_class:
-            if has_class[record.problem_id] != carries:
-                raise ReasonConfError(
-                    f"problem {record.problem_id!r} mixes records with and "
-                    "without class_id; answer comparison would be ambiguous"
-                )
-        else:
-            has_class[record.problem_id] = carries
-        answer = canonicalize_answer(record.answer, record.class_id)
-        grouped.setdefault(record.problem_id, []).append(
-            make_path(record.text, record.logprob_sum, record.n_tokens, answer, mode)
-        )
     return {
         pid: SampleBatch(paths=tuple(paths), problem_id=pid)
         for pid, paths in grouped.items()
     }
+
+
+def read_json_document(path: str, kind: str):
+    """Decode one JSON file; a decode ``ValueError`` becomes a ReasonConfError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ReasonConfError(f"malformed {kind} document: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ claims or Monte Carlo runs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +23,7 @@ from .errors import (
     InvalidSampleSizeError,
     ReasonConfError,
 )
+from .ingest import read_json_document
 from .paths import AnswerLabel, ConfidenceMap, ReasoningPath, SampleBatch, ScoredKey
 
 ENUMERATION_CAP = 10_000_000
@@ -102,8 +102,7 @@ def oracle_from_json(doc: dict) -> OracleSpec:
 
 
 def load_oracle(path: str) -> OracleSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return oracle_from_json(json.load(fh))
+    return oracle_from_json(read_json_document(path, "oracle"))
 
 
 def target_paths(

@@ -5,6 +5,7 @@ import logging
 import math
 import re
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +244,19 @@ class TestErrorHandling:
             ("--oracle", {"path_probs": [1.0], "path_answers": [1], "truth": "1"}),
             ("--oracle", {"path_probs": [1.0], "path_answers": ["A"], "truth": None}),
             ("--oracle", {"path_probs": [10**400], "path_answers": ["A"], "truth": "A"}),
+            ("--config", {"fit": {"max_iter": True}}),
+            ("--config", {"fit": {"max_iter": 2.9}}),
+            ("--config", {"fit": {"max_iter": "5"}}),
+            ("--config", {"fit": {"tol": "0.001"}}),
+            ("--config", {"fit": {"tol": math.nan}}),
+            ("--config", {"fit": {"tol": math.inf}}),
+            ("--config", {"fit": {"tol": -1}}),
+            ("--config", {"fit": {"tol": 0}}),
+            ("--config", {"fit": {"tol": True}}),
+            ("--config", {"fit": {"tol": 10**400}}),
+            ("--config", {"fit": {"weight_bounds": [True, 0.8]}}),
+            ("--config", {"fit": {"weight_bounds": [0.2, "0.8"]}}),
+            ("--config", {"seed": "5"}),
         ],
     )
     def test_malformed_document_is_an_error_line(
@@ -265,6 +279,16 @@ class TestErrorHandling:
             ("fit-mixture", {"probs": ["x", 1]}),
             ("metrics", [{"confidence": "abc", "correct": True, "selected_answer": "a"}]),
             ("metrics", [1]),
+            ("metrics", [{"confidence": True, "correct": "false"}, {"confidence": 0.2, "correct": "no"}]),
+            ("metrics", [{"confidence": 0.7, "correct": 1}]),
+            ("metrics", [{"confidence": "0.7", "correct": True}]),
+            ("metrics", [{"correct": True}]),
+            ("metrics", {"confidence": 0.7, "correct": True}),
+            ("fit-mixture", {"probs": [True, 0.5, 0.2, 0.1, 0.05]}),
+            ("fit-mixture", {"probs": [0.9, 0.5, 0.2, 0.1, None]}),
+            ("fit-mixture", {"probs": 0.5}),
+            ("fit-mixture", {"prob": [0.9, 0.5, 0.2, 0.1]}),
+            ("fit-mixture", [0.9, 0.5, 0.2, 10**400]),
         ],
     )
     def test_malformed_input_is_an_error_line(self, tmp_path, capsys, command, doc):
@@ -274,6 +298,50 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command,flag,kind",
+        [
+            ("config", "--config", "config"),
+            ("simulate", "--oracle", "oracle"),
+            ("metrics", "--input", "results"),
+            ("fit-mixture", "--input", "probs"),
+        ],
+        ids=["config", "oracle", "results", "probs"],
+    )
+    def test_integer_past_the_digit_limit_is_an_error_line(
+        self, tmp_path, capsys, command, flag, kind
+    ):
+        big = tmp_path / "big.json"
+        big.write_text('{"seed": %s}' % ("9" * 5000))
+        assert main([command, flag, str(big)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: malformed {kind} document: [^\n]*digits[^\n]*\n", captured.err)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"answer": "\\boxed{ }"}, "line 2: answer label is empty"),
+            ({"class_id": 4}, "line 2: problem 'p1' mixes records with and without class_id"),
+        ],
+        ids=["empty-answer", "class-id-mismatch"],
+    )
+    def test_line_errors_abort_strict_and_are_skipped_lenient(
+        self, tmp_path, capsys, bad, message
+    ):
+        good = {"problem_id": "p1", "text": "a", "token_logprobs": [-0.2], "answer": "4"}
+        dest = tmp_path / "dirty.jsonl"
+        dest.write_text(
+            "".join(json.dumps(r) + "\n" for r in [good, dict(good, text="b", **bad), good])
+        )
+        assert main(["estimate", "--input", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: 1 malformed line(s): {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert main(["estimate", "--input", str(dest), "--lenient"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert {row.split(",")[2] for row in rows} == {"2"}
 
     def test_metrics_reads_only_confidence_and_correct(self, tmp_path, capsys):
         results = tmp_path / "results.json"
@@ -476,3 +544,64 @@ class TestWarnings:
         match = re.fullmatch(r"(\d+) of (\d+) mixture fits stopped at max_iter", messages[0])
         assert match and match.group(1) == match.group(2) != "0"
         assert "mixture fits" not in outputs[1]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_inputs(tmp_path, mode):
+    """A two-problem dump and a config for the pinned ``estimate`` outputs.
+
+    ``p1`` has five unique paths and repeats one, with answers in varied
+    ``\\boxed{}`` padding; every ``p2`` record carries a ``class_id``, and
+    three of its answer strings share class 7.
+    """
+
+    def record(pid, text, logprobs, answer, class_id=None):
+        rec = {"problem_id": pid, "text": text, "token_logprobs": logprobs, "answer": answer}
+        if class_id is not None:
+            rec["class_id"] = class_id
+        return rec
+
+    records = [
+        record("p1", "add the units: 4", [-1.2], "\\boxed{4}"),
+        record("p1", "carry the one: 14", [-1.6, -1.9], "14"),
+        record("p1", "count again: 4", [-0.9, -0.8], "  \\boxed{ 4 }\n"),
+        record("p1", "add the units: 4", [-1.2], "\\boxed{4}"),
+        record("p1", "guess: 5", [-2.6, -3.1, -2.2], "5"),
+        record("p1", "subtract: 2", [-1.4, -0.9], "\\boxed{2}"),
+        record("p1", "recount: 4", [-2.0], "4"),
+        record("p2", "def f(x): return x + 1", [-1.0], "def f(x): return x + 1", 7),
+        record("p2", "def f(x): return 1 + x", [-0.9, -1.1, -1.3], "def f(x): return 1 + x", 7),
+        record("p2", "def f(x): return x", [-1.7, -2.0], "def f(x): return x", 3),
+        record("p2", "def f(x): return x - 1", [-2.8], "def f(x): return x - 1", 5),
+        record("p2", "lambda x: x + 1", [-1.6, -1.5, -1.9, -1.4], "lambda x: x + 1", 7),
+    ]
+    dump = tmp_path / "golden.jsonl"
+    dump.write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfg = tmp_path / "golden_cfg.json"
+    cfg.write_text(
+        json.dumps({"prob_mode": mode, "truths": {"p1": "\\boxed{4}", "p2": "def f(x): return x"}})
+    )
+    return str(dump), str(cfg)
+
+
+class TestEstimateGolden:
+    """``estimate``'s output bytes, pinned by the files under ``tests/golden``."""
+
+    @pytest.mark.parametrize("mode", ["joint", "length_normalized"])
+    def test_csv_bytes(self, tmp_path, capsys, mode):
+        dump, cfg = _golden_inputs(tmp_path, mode)
+        assert main(["estimate", "--input", dump, "--config", cfg]) == 0
+        expected = (GOLDEN / f"estimate_{mode}.csv").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
+
+    @pytest.mark.parametrize("mode", ["joint", "length_normalized"])
+    def test_json_and_report_bytes(self, tmp_path, capsys, mode):
+        dump, cfg = _golden_inputs(tmp_path, mode)
+        report = tmp_path / "report.json"
+        argv = ["estimate", "--input", dump, "--config", cfg, "--format", "json"]
+        assert main(argv + ["--report", str(report)]) == 0
+        expected = (GOLDEN / f"estimate_{mode}.json").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
+        assert report.read_bytes() == (GOLDEN / f"estimate_{mode}_report.json").read_bytes()

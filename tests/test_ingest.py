@@ -1,6 +1,5 @@
 """JSONL ingestion and deterministic export."""
 
-import dataclasses
 import json
 import math
 
@@ -10,12 +9,11 @@ from hypothesis import strategies as st
 
 from reasonconf import (
     ParseError,
-    PathRecord,
     ReasonConfError,
+    ReasoningPath,
     ResultRow,
     derive_path_prob,
     load_jsonl,
-    load_records,
     render_results,
 )
 from reasonconf.ingest import parse_record
@@ -115,22 +113,25 @@ class TestLoadJsonl:
 
     def test_mixed_class_id_presence_rejected(self, tmp_path):
         mixed = [
-            {
-                "problem_id": "p1",
-                "text": "a",
-                "token_logprobs": [-0.1],
-                "answer": "x",
-                "class_id": 1,
-            },
-            {
-                "problem_id": "p1",
-                "text": "b",
-                "token_logprobs": [-0.1],
-                "answer": "y",
-            },
+            dict(GOOD[0], class_id=1),
+            GOOD[1],
+            dict(GOOD[2], problem_id="p1", class_id=2),
         ]
-        with pytest.raises(ReasonConfError, match="class_id"):
-            load_jsonl(write_jsonl(tmp_path, mixed), "joint")
+        source = write_jsonl(tmp_path, mixed)
+        with pytest.raises(ReasonConfError, match=r"1 malformed line\(s\): line 2: "
+                           "problem 'p1' mixes records with and without class_id"):
+            load_jsonl(source, "joint")
+        batches = load_jsonl(source, "joint", strict=False)
+        assert [p.answer.class_id for p in batches["p1"].paths] == [1, 2]
+
+    def test_answer_empty_once_canonicalized_is_a_line_error(self, tmp_path):
+        blank = GOOD[:2] + [dict(GOOD[1], answer="\\boxed{ }")]
+        source = write_jsonl(tmp_path, blank)
+        with pytest.raises(ReasonConfError, match="line 3: answer label is empty"):
+            load_jsonl(source, "joint")
+        assert load_jsonl(source, "joint", strict=False)["p1"].n == 2
+        coded = write_jsonl(tmp_path, [dict(obj, class_id=4) for obj in blank])
+        assert load_jsonl(coded, "joint")["p1"].paths[2].answer.class_id == 4
 
     def test_class_id_carried_through(self, tmp_path):
         coded = [
@@ -146,31 +147,45 @@ class TestLoadJsonl:
         assert batches["p1"].paths[0].answer.class_id == 3
 
 
+def _joint_prob(logprob_sum):
+    return min(1.0, max(PROB_FLOOR, math.exp(logprob_sum)))
+
+
 class TestParseRecord:
-    def test_every_field_of_good_records(self):
-        records = [parse_record(obj, i) for i, obj in enumerate(GOOD, start=1)]
-        assert records == [
-            PathRecord("p1", "step one. answer 4", -0.2 + -0.4, 2, "\\boxed{4}"),
-            PathRecord("p1", "other path", -1.0, 1, "5"),
-            PathRecord("p2", "only path", math.fsum([-0.5, -0.1, -0.2]), 3, "Yes"),
-        ]
-        coded = parse_record(dict(GOOD[0], class_id=3), 1)
-        assert coded == dataclasses.replace(records[0], class_id=3)
+    def test_every_field_of_good_records(self, monkeypatch):
+        sums = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: sums.append(xs) or fsum(xs))
+        for mode in ("joint", "length_normalized"):
+            sums.clear()
+            parsed = [parse_record(obj, i, mode) for i, obj in enumerate(GOOD, start=1)]
+            # Each line's tokens are summed exactly once.
+            assert sums == [obj["token_logprobs"] for obj in GOOD]
+            assert parsed == [
+                ("p1", ReasoningPath("step one. answer 4", label("4"),
+                                     derive_path_prob(-0.2 + -0.4, 2, mode))),
+                ("p1", ReasoningPath("other path", label("5"), derive_path_prob(-1.0, 1, mode))),
+                ("p2", ReasoningPath("only path", label("yes"),
+                                     derive_path_prob(fsum([-0.5, -0.1, -0.2]), 3, mode))),
+            ]
+            problem_id, coded = parse_record(dict(GOOD[0], class_id=3), 1, mode)
+            assert (problem_id, coded.answer.class_id) == ("p1", 3)
+            assert coded.path_prob == parsed[0][1].path_prob
 
     def test_unknown_field_rejected(self):
         obj = dict(GOOD[0], extra=1)
         with pytest.raises(ParseError):
-            parse_record(obj, 1)
+            parse_record(obj, 1, "joint")
 
     def test_blank_answer_rejected(self):
         obj = dict(GOOD[0], answer="   ")
         with pytest.raises(ParseError):
-            parse_record(obj, 1)
+            parse_record(obj, 1, "joint")
 
     def test_ext_score_out_of_range_rejected(self):
         obj = dict(GOOD[0], ext_score=1.5)
         with pytest.raises(ParseError):
-            parse_record(obj, 1)
+            parse_record(obj, 1, "joint")
 
     @pytest.mark.parametrize(
         "field,value",
@@ -194,8 +209,9 @@ class TestParseRecord:
         # NaN and the infinities arrive as the tokens NaN/Infinity.
         bad = GOOD + [dict(GOOD[0], **{field: value})]
         with pytest.raises(ReasonConfError, match="line 4"):
-            load_records(write_jsonl(tmp_path, bad))
-        assert len(load_records(write_jsonl(tmp_path, bad), strict=False)) == 3
+            load_jsonl(write_jsonl(tmp_path, bad), "joint")
+        batches = load_jsonl(write_jsonl(tmp_path, bad), "joint", strict=False)
+        assert sum(batch.n for batch in batches.values()) == 3
 
     def test_integer_past_the_digit_limit_rejected(self, tmp_path):
         dest = tmp_path / "huge.jsonl"
@@ -203,8 +219,8 @@ class TestParseRecord:
         huge = good.replace("-0.2", "-" + "9" * 5000)
         dest.write_text(good + "\n" + huge + "\n")
         with pytest.raises(ReasonConfError, match="line 2"):
-            load_records(str(dest))
-        assert len(load_records(str(dest), strict=False)) == 1
+            load_jsonl(str(dest), "joint")
+        assert load_jsonl(str(dest), "joint", strict=False)["p1"].n == 1
 
     @given(
         st.lists(
@@ -232,24 +248,24 @@ class TestParseRecord:
 
         obj = json.loads(json.dumps(dict(GOOD[0], token_logprobs=tokens)))
         if all(acceptable(t) for t in tokens):
-            record = parse_record(obj, 1)
             floats = [float(t) for t in tokens]
             try:
                 expected = math.fsum(floats)
             except OverflowError:
                 expected = -math.inf
-            assert math.copysign(1.0, record.logprob_sum) == math.copysign(1.0, expected)
-            assert record.logprob_sum == expected
-            assert record.n_tokens == len(tokens)
+            _, joint = parse_record(obj, 1, "joint")
+            assert joint.path_prob == _joint_prob(expected)
+            _, normalized = parse_record(obj, 1, "length_normalized")
+            assert normalized.path_prob == _joint_prob(expected / len(tokens))
         else:
             with pytest.raises(ParseError):
-                parse_record(obj, 1)
+                parse_record(obj, 1, "joint")
 
     def test_sum_past_the_float_range_is_floor(self, tmp_path):
         overflow = dict(GOOD[0], token_logprobs=[-1e308, -1e308])
-        assert parse_record(overflow, 1).logprob_sum == -math.inf
         source = write_jsonl(tmp_path, [overflow, GOOD[1]])
         for mode in ("joint", "length_normalized"):
+            assert parse_record(overflow, 1, mode)[1].path_prob == PROB_FLOOR
             assert load_jsonl(source, mode)["p1"].paths[0].path_prob == PROB_FLOOR
 
 
