@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -19,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     ConfigError,
+    DomainError,
     EnumerationTooLargeError,
-    FitDegenerateError,
     ReasonConfError,
 )
 from .estimators import (
@@ -50,7 +49,7 @@ from .oracle import (
     sample_batch,
     target_paths,
 )
-from .paths import ScoredKey, canonicalize_answer, unique_paths
+from .paths import ScoredKey, canonicalize_answer
 from .pruning import FitConfig, MixtureFit, PruningReport, fit_mixture
 
 logger = logging.getLogger("reasonconf")
@@ -78,11 +77,12 @@ class RunConfig:
         """Validate and coerce a config document.
 
         A value of the wrong type or shape raises ConfigError, as does an
-        unknown key, a count below 1 or a ``tol`` that is not above 0.
+        unknown key, a count below 1 or a ``fit`` value that ``FitConfig``
+        rejects.
         """
         try:
             return cls._coerce(doc)
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError, DomainError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
     @classmethod
@@ -97,12 +97,9 @@ class RunConfig:
         if fit_unknown:
             raise ConfigError(f"unknown fit config keys: {sorted(fit_unknown)}")
         fit_merged = {**defaults["fit"], **fit_doc}
-        weight_bounds = tuple(fit_merged["weight_bounds"])
-        if not all(type(w) in (int, float) for w in weight_bounds):
-            raise ConfigError(f"weight_bounds {weight_bounds!r} must hold numbers")
         tol = fit_merged["tol"]
-        if type(tol) not in (int, float) or not (0 < tol < math.inf):
-            raise ConfigError(f"tol {tol!r} is not a finite number > 0")
+        if type(tol) not in (int, float):
+            raise ConfigError(f"tol {tol!r} is not a number")
         methods = tuple(merged["methods"])
         for m in methods:
             if m not in ESTIMATOR_KINDS:
@@ -128,7 +125,6 @@ class RunConfig:
             n_grid=n_grid,
             truths=truths,
             fit=FitConfig(
-                weight_bounds=weight_bounds,
                 max_iter=_whole("max_iter", fit_merged["max_iter"]),
                 tol=float(tol),
             ),
@@ -313,9 +309,10 @@ def estimate_rows(
 ) -> Tuple[List[ResultRow], Dict[str, dict]]:
     """Run the configured estimators over ingested batches.
 
-    Problems with no entry in ``cfg.truths`` score as incorrect.  Returns
-    result rows plus one pruning-report document per problem (only
-    populated when RPC runs).
+    A problem's truth is the label, class id included, of its first record
+    whose canonical answer is the canonicalized ``cfg.truths`` entry; with
+    no entry or no such record it scores as incorrect.  Returns result rows
+    plus one pruning-report document per problem (only for RPC).
     """
     rows: List[ResultRow] = []
     reports: Dict[str, dict] = {}
@@ -324,7 +321,8 @@ def estimate_rows(
         batch = batches[pid]
         truth = None
         if cfg.truths and pid in cfg.truths:
-            truth = canonicalize_answer(cfg.truths[pid])
+            wanted = canonicalize_answer(cfg.truths[pid]).canonical
+            truth = next((p.answer for p in batch.paths if p.answer.canonical == wanted), None)
         for method in cfg.methods:
             if method == "RPC":
                 conf, report = rpc_confidence(batch, cfg.fit)
@@ -418,26 +416,15 @@ def _cmd_estimate(args) -> str:
 
 def _cmd_fit_mixture(args) -> str:
     cfg = RunConfig.load(args.config, args.seed)
-    if args.input.endswith(".jsonl"):
-        batches = load_jsonl(args.input, cfg.prob_mode)
-        fits = {}
-        for pid in sorted(batches):
-            probs = [p.path_prob for p in unique_paths(batches[pid])]
-            try:
-                fits[pid] = asdict(fit_mixture(probs, cfg.fit))
-            except FitDegenerateError as exc:
-                fits[pid] = {"degenerate": True, "reason": str(exc)}
-        doc = {"problems": fits}
-    else:
-        payload = read_json_document(args.input, "probs")
-        try:
-            probs = payload["probs"] if isinstance(payload, dict) else payload
-            if not all(type(p) in (int, float) for p in probs):
-                raise TypeError("probs must hold numbers")
-            probs = [float(p) for p in probs]
-        except (TypeError, KeyError, OverflowError) as exc:
-            raise ReasonConfError(f"malformed probs document: {exc}") from exc
-        doc = {"fit": asdict(fit_mixture(probs, cfg.fit))}
+    payload = read_json_document(args.input, "probs")
+    try:
+        probs = payload["probs"] if isinstance(payload, dict) else payload
+        if not all(type(p) in (int, float) for p in probs):
+            raise TypeError("probs must hold numbers")
+        probs = [float(p) for p in probs]
+    except (TypeError, KeyError, OverflowError) as exc:
+        raise ReasonConfError(f"malformed probs document: {exc}") from exc
+    doc = {"fit": asdict(fit_mixture(probs, cfg.fit))}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

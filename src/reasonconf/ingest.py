@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -37,6 +38,8 @@ _REQUIRED_KEYS = ("problem_id", "text", "token_logprobs", "answer")
 _OPTIONAL_KEYS = ("class_id", "ext_score")
 # Exact types, so JSON true/false (a bool is an int subclass) are rejected.
 _NUMBER_TYPES = frozenset((int, float))
+# A byte that is not UTF-8, as the ``surrogateescape`` error handler reads it.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def parse_record(obj: dict, line_no: int, mode: ProbMode) -> Tuple[str, ReasoningPath]:
@@ -112,18 +115,21 @@ def load_jsonl(
     """Read a JSONL file into one batch per problem, in file order.
 
     A problem's records must all carry ``class_id`` or all omit it, as
-    its first valid line does.  In strict mode any malformed line aborts
-    the run with a combined message; in lenient mode malformed lines are
-    skipped with a warning that gives their count and first line numbers.
+    its first valid line does, and each line must be valid UTF-8.  In
+    strict mode any malformed line aborts the run with a combined message;
+    in lenient mode malformed lines are skipped with a warning that gives
+    their count and first line numbers.
     """
     grouped: Dict[str, List[ReasoningPath]] = {}
     has_class: Dict[str, bool] = {}
     problems: List[ParseError] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii() and _ESCAPED_BYTE.search(line):
+                    raise ParseError(line_no, "line is not valid UTF-8")
                 try:
                     obj = json.loads(line)
                 except ValueError as exc:

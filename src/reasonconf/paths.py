@@ -27,23 +27,22 @@ _BOXED_RE = re.compile(r"^\\boxed\{(.*)\}$", re.DOTALL)
 class AnswerLabel:
     """A canonical answer, optionally tagged with an equivalence-class id.
 
-    Two labels compare equal on ``class_id`` when both carry one, otherwise
-    on the canonical string.  Labels that are hashed together (dict keys,
-    set members) must either all carry a class id or all not; ingestion
-    enforces this per problem.  The hash is computed once, at construction.
+    A label is its key: its class id when it carries one, otherwise its
+    canonical string.  Equality and the hash both use that key, so a label
+    with a class id never equals one without.  The key and its hash are
+    computed once, at construction.
     """
 
     canonical: str
     class_id: Optional[int] = None
+    _key: Union[int, str] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.canonical and self.class_id is None:
             raise InvalidPathError("answer label is empty")
-        if self.class_id is not None:
-            key = ("class", self.class_id)
-        else:
-            key = ("canon", self.canonical)
+        key = self.canonical if self.class_id is None else self.class_id
+        object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
@@ -51,9 +50,7 @@ class AnswerLabel:
             return True
         if not isinstance(other, AnswerLabel):
             return NotImplemented
-        if self.class_id is not None and other.class_id is not None:
-            return self.class_id == other.class_id
-        return self.canonical == other.canonical
+        return self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -68,8 +65,8 @@ def canonicalize_answer(text: str, class_id: Optional[int] = None) -> AnswerLabe
     """Build a label from raw answer text.
 
     Trims whitespace, strips any surrounding ``\\boxed{...}`` wrappers, and
-    case-folds.  ``class_id`` is attached unchanged and, when present, takes
-    precedence in comparisons.
+    case-folds.  ``class_id`` is attached unchanged and, when present, is
+    the label's key in comparisons.
     """
     out = text.strip()
     while True:

@@ -1,11 +1,11 @@
 """Low-probability path pruning via a two-component Weibull mixture.
 
 The batch's path probabilities are modeled as a mixture of a high and a low
-Weibull component, fitted by deterministic EM under bounded weights and
-accelerated by SQUAREM; ``FitConfig.max_iter`` counts EM maps.  Paths
-are kept when their posterior of belonging to the high component reaches
-0.5, or when they clear the batch mean (the truncated-mean guard, which also
-makes the retained set provably non-empty).
+Weibull component, fitted by deterministic EM with the first weight held in
+``WEIGHT_BOUNDS`` and accelerated by SQUAREM; ``FitConfig.max_iter`` counts
+EM maps.  Paths are kept when their posterior of belonging to the high
+component reaches 0.5, or when they clear the batch mean (the truncated-mean
+guard, which also makes the retained set provably non-empty).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .errors import DomainError, EmptyBatchError, FitDegenerateError
 # or uniform and the solver treats the data as degenerate.
 SHAPE_MIN = 1e-3
 SHAPE_MAX = 1e3
+# Clamp on the first component's weight, so neither component can vanish.
+WEIGHT_BOUNDS = (0.2, 0.8)
 
 _EXP_CAP = 700.0  # exp argument cap to keep log-densities finite
 _LOG_SHAPE_MIN, _LOG_SHAPE_MAX = math.log(SHAPE_MIN), math.log(SHAPE_MAX)
@@ -71,20 +73,18 @@ class FitConfig:
     """Knobs for the mixture fit; defaults are the library's standard run.
 
     ``max_iter`` caps the EM maps (log-likelihood evaluations) a fit may
-    take, extrapolated or not; ``tol`` is the log-likelihood change below
-    which a fit stops as converged.
+    take, extrapolated or not; ``tol``, a finite number above 0, is the
+    log-likelihood change below which a fit stops as converged.
     """
 
-    weight_bounds: Tuple[float, float] = (0.2, 0.8)
     max_iter: int = 200
     tol: float = 1e-8
 
     def __post_init__(self):
-        lo, hi = self.weight_bounds
-        if not (0.0 < lo <= hi < 1.0):
-            raise DomainError(f"weight bounds {self.weight_bounds} invalid")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tol {self.tol!r} is not a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ class MixtureFit:
     """A fitted two-component Weibull mixture.
 
     ``high_index`` designates the component with the larger distribution
-    mean (ties broken toward the larger scale); weights respect the
-    configured bounds and sum to 1.
+    mean (ties broken toward the larger scale); ``w1`` lies in
+    ``WEIGHT_BOUNDS`` and the weights sum to 1.
     """
 
     comp1: WeibullParams
@@ -244,15 +244,15 @@ def _weighted_mle(
     return WeibullParams(shape=k, scale=scale), e
 
 
-def _extrapolate(theta0, theta1, theta2, weight_bounds, step_cap):
+def _extrapolate(theta0, theta1, theta2, step_cap):
     """SQUAREM (scheme S3) point from three successive EM iterates.
 
     Works on (w1, ln k1, ln lam1, ln k2, ln lam2): with r = t1 - t0 and
     v = t2 - 2 t1 + t0 the step length is alpha = -|r| / |v|, held within
     [-step_cap, -1], and the point is t0 - 2 alpha r + alpha^2 v.  Returns
     the point and alpha; alpha = -1 gives t2 itself, returned as is.  The
-    weight is clamped to its bounds, the shape to [SHAPE_MIN, SHAPE_MAX]
-    and ln lam to the exp cap, so the point is always a valid parameter set.
+    weight is clamped to ``WEIGHT_BOUNDS``, the shape to [SHAPE_MIN,
+    SHAPE_MAX] and ln lam to the exp cap, so the point is always valid.
     """
     log = math.log
     p0, p1, p2 = [
@@ -270,7 +270,7 @@ def _extrapolate(theta0, theta1, theta2, weight_bounds, step_cap):
     w1, lk1, ll1, lk2, ll2 = [
         a - 2.0 * alpha * d + alpha * alpha * e for a, d, e in zip(p0, r, v)
     ]
-    lo_w, hi_w = weight_bounds
+    lo_w, hi_w = WEIGHT_BOUNDS
     point = (
         min(max(w1, lo_w), hi_w),
         WeibullParams(
@@ -290,7 +290,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
 
     Deterministic EM: responsibilities in the E-step, per-component weighted
     Weibull MLE in the M-step (shape from safeguarded root-finding, scale in
-    closed form), weights clamped to ``config.weight_bounds``.  Starts from
+    closed form), ``w1`` clamped to ``WEIGHT_BOUNDS``.  Starts from
     a fixed median-split moment initialization.
 
     The EM map F is accelerated by SQUAREM, scheme S3.  After the first
@@ -319,7 +319,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
 
     log_x = np.log(x)
     ws = _ShapeWorkspace(log_x)
-    lo_w, hi_w = config.weight_bounds
+    lo_w, hi_w = WEIGHT_BOUNDS
 
     order = np.argsort(x, kind="stable")
     half = x.size // 2
@@ -356,9 +356,6 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
         r1 = np.subtract(l1, norm)
         np.exp(r1, out=r1)
         r1_sum = float(r1.sum())
-        if math.isnan(r1_sum):
-            r1 = np.where(np.isnan(r1), 0.5, r1)
-            r1_sum = float(r1.sum())
         r2 = 1.0 - r1
 
         r2_sum = x.size - r1_sum
@@ -386,7 +383,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
             continue
         plain.append(theta)
         if len(plain) == 3 and n_maps < config.max_iter:
-            theta, alpha = _extrapolate(*plain, config.weight_bounds, step_cap)
+            theta, alpha = _extrapolate(*plain, step_cap)
             if theta is not plain[2]:
                 fallback = plain[2]
             elif alpha == -step_cap:
@@ -465,12 +462,10 @@ def prune(
     # retention guarantee from summation rounding on near-constant data.
     mean = min(math.fsum(x) / len(x), max(x))
 
-    fit: Optional[MixtureFit] = None
-    fallback = False
     try:
-        fit = fit_mixture(x, config)
+        fit: Optional[MixtureFit] = fit_mixture(x, config)
     except FitDegenerateError:
-        fallback = True
+        fit = None
 
     if fit is not None:
         posteriors = _p_high_arr(np.asarray(x, dtype=float), fit).tolist()
@@ -484,6 +479,6 @@ def prune(
         fit=fit,
         retained_indices=retained,
         removed_indices=removed,
-        fallback_used=fallback,
+        fallback_used=fit is None,
         mean_threshold=mean,
     )

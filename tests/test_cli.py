@@ -11,7 +11,7 @@ import pytest
 
 import reasonconf.oracle
 from reasonconf.cli import RunConfig, _report_doc, decompose_rows, main
-from reasonconf import ConfigError, prune
+from reasonconf import ConfigError, FitConfig, fit_mixture, load_jsonl, prune, unique_paths
 from reasonconf.oracle import oracle_from_json
 
 
@@ -165,7 +165,7 @@ class TestRunConfig:
         assert cfg.methods == ("SC", "PPL", "PC", "RPC")
         assert cfg.n_grid == (64, 128)
         assert cfg.repeats == 10
-        assert cfg.fit.weight_bounds == (0.2, 0.8)
+        assert cfg.fit == FitConfig(max_iter=200, tol=1e-8)
 
     def test_seed_override(self, tmp_path, config_file):
         cfg = RunConfig.load(config_file, seed_override=99)
@@ -299,6 +299,15 @@ class TestErrorHandling:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n_records", [1, 4])
+    def test_fit_mixture_reads_no_dump(self, tmp_path, jsonl_file, capsys, n_records):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text("".join(Path(jsonl_file).read_text().splitlines(True)[:n_records]))
+        assert main(["fit-mixture", "--input", str(dump)]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: malformed probs document: [^\n]*\n", captured.err)
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "command,flag,kind",
         [
@@ -359,7 +368,7 @@ class TestErrorHandling:
         assert main(["config", "--print-defaults"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["repeats"] == 10
-        assert doc["fit"]["weight_bounds"] == [0.2, 0.8]
+        assert doc["fit"] == {"max_iter": 200, "tol": 1e-8}
 
 
 class TestEstimateOutputs:
@@ -605,3 +614,26 @@ class TestEstimateGolden:
         expected = (GOLDEN / f"estimate_{mode}.json").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == expected
         assert report.read_bytes() == (GOLDEN / f"estimate_{mode}_report.json").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["joint", "length_normalized"])
+    def test_report_fit_is_the_fit_of_unique_path_probs(self, tmp_path, mode):
+        dump, cfg = _golden_inputs(tmp_path, mode)
+        report = tmp_path / "report.json"
+        assert main(["estimate", "--input", dump, "--config", cfg, "--report", str(report)]) == 0
+        fits = {pid: doc["fit"] for pid, doc in json.loads(report.read_text()).items()}
+        batches = load_jsonl(dump, mode)
+        assert set(fits) == set(batches) == {"p1", "p2"}
+        for pid, batch in batches.items():
+            probs = [path.path_prob for path in unique_paths(batch)]
+            assert fits[pid] == asdict(fit_mixture(probs))
+
+    @pytest.mark.parametrize("mode", ["joint", "length_normalized"])
+    def test_class_id_truth_is_judged_by_class(self, tmp_path, capsys, mode):
+        dump, _ = _golden_inputs(tmp_path, mode)
+        cfg = tmp_path / "cfg.json"
+        for truth, correct in [("lambda x: x + 1", True), ("lambda x: x", False)]:
+            cfg.write_text(json.dumps({"prob_mode": mode, "truths": {"p2": truth}}))
+            assert main(["estimate", "--input", dump, "--config", str(cfg), "--format", "json"]) == 0
+            rows = [r for r in json.loads(capsys.readouterr().out) if r["problem_id"] == "p2"]
+            assert len(rows) == 4
+            assert all(r["correct"] is correct for r in rows)

@@ -1,4 +1,8 @@
-"""Every narrative demo runs to completion."""
+"""Every narrative demo runs to completion and prints its pinned stdout.
+
+The expected bytes live in ``tests/golden/demo_<NN>.txt``, ``NN`` being
+the demo's two-digit prefix.
+"""
 
 import os
 import subprocess
@@ -8,6 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
@@ -23,7 +28,7 @@ def test_demo_exits_cleanly(demo):
         cwd=ROOT,
         env=env,
         capture_output=True,
-        text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout == (GOLDEN / f"demo_{demo.name[:2]}.txt").read_bytes()

@@ -1,6 +1,7 @@
 """JSONL ingestion and deterministic export."""
 
 import json
+import logging
 import math
 
 import pytest
@@ -106,6 +107,35 @@ class TestLoadJsonl:
         dest.write_text(json.dumps(GOOD[0]) + "\n{not json}\n")
         with pytest.raises(ReasonConfError, match="line 2"):
             load_jsonl(str(dest), "joint")
+
+    def _with_bad_bytes(self, tmp_path):
+        """GOOD's first two records around a line encoded as Latin-1."""
+        records = [GOOD[0], dict(GOOD[0], text="café"), GOOD[1]]
+        dest = tmp_path / "latin1.jsonl"
+        dest.write_bytes(
+            b"".join(
+                json.dumps(r, ensure_ascii=False).encode(encoding) + b"\n"
+                for r, encoding in zip(records, ["utf-8", "latin-1", "utf-8"])
+            )
+        )
+        return str(dest)
+
+    def test_bytes_not_utf8_abort_strict_with_the_line(self, tmp_path):
+        with pytest.raises(ReasonConfError, match="line 2: line is not valid UTF-8"):
+            load_jsonl(self._with_bad_bytes(tmp_path), "joint")
+
+    def test_bytes_not_utf8_skipped_and_counted_lenient(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING):
+            batches = load_jsonl(self._with_bad_bytes(tmp_path), "joint", strict=False)
+        assert [p.text for p in batches["p1"].paths] == [GOOD[0]["text"], GOOD[1]["text"]]
+        assert "skipped 1 malformed line(s)" in caplog.text
+
+    def test_non_ascii_utf8_text_parses(self, tmp_path):
+        dest = tmp_path / "utf8.jsonl"
+        record = dict(GOOD[0], text="café ∑ 🙂", answer="\\boxed{é}")
+        dest.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        path = load_jsonl(str(dest), "joint")["p1"].paths[0]
+        assert (path.text, path.answer) == ("café ∑ 🙂", label("é"))
 
     def test_missing_file_raises_oserror(self):
         with pytest.raises(OSError):

@@ -68,6 +68,12 @@ class TestDerivePathProb:
         assert derive([0.0] * len(logprobs), "joint") == 1.0
 
 
+# Labels over a few strings and class ids, "7" among both.
+LABELS = st.builds(
+    AnswerLabel, st.sampled_from(["4", "7", "x"]), st.none() | st.integers(4, 7)
+)
+
+
 class TestAnswerLabel:
     def test_canonicalization_strips_boxed_and_casefolds(self):
         assert canonicalize_answer("  \\boxed{42} ") == label("42")
@@ -85,6 +91,16 @@ class TestAnswerLabel:
     def test_canonical_comparison_when_class_missing(self):
         assert AnswerLabel("42") == AnswerLabel("42")
         assert AnswerLabel("42") != AnswerLabel("43")
+
+    def test_label_with_class_id_never_equals_one_without(self):
+        assert AnswerLabel("4", class_id=7) != AnswerLabel("4")
+        assert AnswerLabel("7", class_id=7) != AnswerLabel("7")
+        assert AnswerLabel("4") not in {AnswerLabel("4", class_id=7)}
+
+    @given(LABELS, LABELS)
+    def test_equal_labels_hash_equal(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
 
     def test_empty_label_rejected(self):
         with pytest.raises(InvalidPathError):

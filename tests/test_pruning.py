@@ -5,7 +5,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import weibull_min
@@ -22,6 +22,7 @@ from reasonconf import (
     p_high,
     prune,
 )
+from reasonconf.pruning import WEIGHT_BOUNDS
 
 
 def bimodal_sample(seed: int, n: int = 128):
@@ -180,6 +181,24 @@ class TestFitMixture:
         with pytest.raises(DomainError):
             fit_mixture([0.1, 0.2, -0.3, 0.4])
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tol_outside_the_open_range_rejected(self, tol):
+        with pytest.raises(DomainError):
+            FitConfig(tol=tol)
+
+    @given(
+        st.lists(st.floats(min_value=-300.0, max_value=0.0), min_size=4, max_size=48)
+        .map(lambda exps: [10.0**e for e in exps])
+        .filter(lambda probs: len(set(probs)) >= 2)
+    )
+    @example([1e-300] * 3 + [1.0] * 3)
+    @example(np.geomspace(1e-300, 1.0, 40).tolist())
+    @settings(max_examples=60, deadline=None)
+    def test_data_spanning_the_float_range_fit_finitely(self, probs):
+        fit = fit_mixture(probs)
+        assert math.isfinite(fit.loglik)
+        assert WEIGHT_BOUNDS[0] <= fit.w1 <= WEIGHT_BOUNDS[1]
+
     def test_bimodal_recovery(self):
         values, from_high = bimodal_sample(seed=0)
         fit = fit_mixture(values.tolist())
@@ -200,7 +219,7 @@ class TestFitMixture:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(123)))
         values = 0.5 * rng.weibull(2.0, 96)
         fit = fit_mixture(values.tolist())
-        lo, hi = FitConfig().weight_bounds
+        lo, hi = WEIGHT_BOUNDS
         assert lo <= fit.w1 <= hi
         # Reference: unweighted single-Weibull MLE via scipy's optimizer.
         k_hat, _, lam_hat = weibull_min.fit(values, floc=0)
