@@ -52,7 +52,6 @@ from .estimators import (
     selection_for_scoring,
 )
 from .pruning import (
-    FitConfig,
     MixtureFit,
     PruningReport,
     WeibullParams,
@@ -79,7 +78,6 @@ from .metrics import (
     BudgetCurve,
     BudgetPoint,
     CalibrationBins,
-    accuracy,
     budget_curve,
     budget_to_match,
     ece,

@@ -13,13 +13,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     ConfigError,
-    DomainError,
     EnumerationTooLargeError,
+    InvalidPathError,
     ReasonConfError,
 )
 from .estimators import (
@@ -50,7 +50,7 @@ from .oracle import (
     target_paths,
 )
 from .paths import ScoredKey, canonicalize_answer
-from .pruning import FitConfig, MixtureFit, PruningReport, fit_mixture
+from .pruning import MixtureFit, PruningReport, fit_mixture
 
 logger = logging.getLogger("reasonconf")
 
@@ -66,7 +66,6 @@ class RunConfig:
     trials: int = 100000
     bins: int = 10
     truths: Optional[Dict[str, str]] = None
-    fit: FitConfig = field(default_factory=FitConfig)
 
     def to_doc(self) -> dict:
         """The JSON document form; ``RunConfig()``'s is the full schema."""
@@ -77,12 +76,12 @@ class RunConfig:
         """Validate and coerce a config document.
 
         A value of the wrong type or shape raises ConfigError, as does an
-        unknown key, a count below 1 or a ``fit`` value that ``FitConfig``
-        rejects.
+        unknown key, a count below 1 or a truth that canonicalizes to an
+        empty answer.  ``truths`` values are stored canonicalized.
         """
         try:
             return cls._coerce(doc)
-        except (TypeError, ValueError, AttributeError, OverflowError, DomainError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
     @classmethod
@@ -92,14 +91,6 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged = {**defaults, **doc}
-        fit_doc = merged["fit"]
-        fit_unknown = set(fit_doc) - set(defaults["fit"])
-        if fit_unknown:
-            raise ConfigError(f"unknown fit config keys: {sorted(fit_unknown)}")
-        fit_merged = {**defaults["fit"], **fit_doc}
-        tol = fit_merged["tol"]
-        if type(tol) not in (int, float):
-            raise ConfigError(f"tol {tol!r} is not a number")
         methods = tuple(merged["methods"])
         for m in methods:
             if m not in ESTIMATOR_KINDS:
@@ -117,17 +108,13 @@ class RunConfig:
         if truths is not None:
             if not all(isinstance(v, str) for v in truths.values()):
                 raise ConfigError("truths values must be strings")
-            truths = {str(k): v for k, v in truths.items()}
+            truths = {str(k): _canonical_truth(k, v) for k, v in truths.items()}
         return cls(
             seed=_whole("seed", merged["seed"]),
             methods=methods,
             prob_mode=merged["prob_mode"],
             n_grid=n_grid,
             truths=truths,
-            fit=FitConfig(
-                max_iter=_whole("max_iter", fit_merged["max_iter"]),
-                tol=float(tol),
-            ),
             **counts,
         )
 
@@ -148,6 +135,16 @@ def _whole(key: str, value) -> int:
     return int(value)
 
 
+def _canonical_truth(key, value: str) -> str:
+    """A ``truths`` value's canonical answer; one that is empty is malformed."""
+    try:
+        return canonicalize_answer(value).canonical
+    except InvalidPathError:
+        raise ConfigError(
+            f"malformed config: truths[{key!r}] canonicalizes to an empty answer"
+        ) from None
+
+
 def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
     """Sample, estimate, select, and score each (method, n, repeat) cell.
 
@@ -161,10 +158,10 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
             batch = sample_batch(oracle, n, derive_seed(cfg.seed, n, r))
             for method in cfg.methods:
                 if method == "RPC":
-                    conf, report = rpc_confidence(batch, cfg.fit)
+                    conf, report = rpc_confidence(batch)
                     fits.append(report.fit)
                 else:
-                    conf = estimate(method, batch, cfg.fit)
+                    conf = estimate(method, batch)
                 answer, value = selection_for_scoring(conf)
                 hit = 1.0 if answer == oracle.truth else 0.0
                 rows.append((method, n, r, hit, abs(value - hit)))
@@ -174,14 +171,14 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
 
 
 def _warn_capped(fits: Sequence[Optional[MixtureFit]]):
-    """Log how many of the mixture fits stopped at ``max_iter`` unconverged.
+    """Log how many of the mixture fits stopped at the EM map cap unconverged.
 
     ``None`` stands for a batch too small or flat to fit; it is no fit.
     """
     done = [fit for fit in fits if fit is not None]
     capped = sum(1 for fit in done if not fit.converged)
     if capped:
-        logger.warning("%d of %d mixture fits stopped at max_iter", capped, len(done))
+        logger.warning("%d of %d mixture fits stopped at the EM map cap", capped, len(done))
 
 
 def _convergence_target(oracle: OracleSpec, method: str) -> ScoredKey:
@@ -268,7 +265,7 @@ def decompose_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
     rows = []
     for method in cfg.methods:
         if method == "RPC":
-            estimator = lambda b: rpc_confidence(b, cfg.fit)[0]
+            estimator = lambda b: rpc_confidence(b)[0]
         else:
             estimator = _ENUM_FNS[method]
         target = _convergence_target(oracle, method)
@@ -310,7 +307,7 @@ def estimate_rows(
     """Run the configured estimators over ingested batches.
 
     A problem's truth is the label, class id included, of its first record
-    whose canonical answer is the canonicalized ``cfg.truths`` entry; with
+    whose canonical answer is the ``cfg.truths`` entry; with
     no entry or no such record it scores as incorrect.  Returns result rows
     plus one pruning-report document per problem (only for RPC).
     """
@@ -321,15 +318,15 @@ def estimate_rows(
         batch = batches[pid]
         truth = None
         if cfg.truths and pid in cfg.truths:
-            wanted = canonicalize_answer(cfg.truths[pid]).canonical
+            wanted = cfg.truths[pid]
             truth = next((p.answer for p in batch.paths if p.answer.canonical == wanted), None)
         for method in cfg.methods:
             if method == "RPC":
-                conf, report = rpc_confidence(batch, cfg.fit)
+                conf, report = rpc_confidence(batch)
                 reports[pid] = _report_doc(report)
                 fits.append(report.fit)
             else:
-                conf = estimate(method, batch, cfg.fit)
+                conf = estimate(method, batch)
             answer, value = selection_for_scoring(conf)
             rows.append(
                 ResultRow(
@@ -415,7 +412,6 @@ def _cmd_estimate(args) -> str:
 
 
 def _cmd_fit_mixture(args) -> str:
-    cfg = RunConfig.load(args.config, args.seed)
     payload = read_json_document(args.input, "probs")
     try:
         probs = payload["probs"] if isinstance(payload, dict) else payload
@@ -424,7 +420,7 @@ def _cmd_fit_mixture(args) -> str:
         probs = [float(p) for p in probs]
     except (TypeError, KeyError, OverflowError) as exc:
         raise ReasonConfError(f"malformed probs document: {exc}") from exc
-    doc = {"fit": asdict(fit_mixture(probs, cfg.fit))}
+    doc = {"fit": asdict(fit_mixture(probs))}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -468,9 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oracle=False, inputs=False, fmt=False):
-        p.add_argument("--config", default=None, help="JSON run config")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+    def common(p, oracle=False, inputs=False, fmt=False, config=True):
+        if config:
+            p.add_argument("--config", default=None, help="JSON run config")
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         if oracle:
             p.add_argument("--oracle", required=True, help="oracle spec JSON")
@@ -498,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("fit-mixture", help="fit the two-Weibull mixture")
-    common(p, inputs=True)
+    common(p, inputs=True, config=False)
     p.set_defaults(fn=_cmd_fit_mixture)
 
     p = sub.add_parser("metrics", help="accuracy/ECE/reliability from results")

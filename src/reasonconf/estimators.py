@@ -17,7 +17,7 @@ from .paths import (
     select_answer,
     unique_paths,
 )
-from .pruning import FitConfig, PruningReport, prune
+from .pruning import PruningReport, prune
 
 EstimatorKind = Literal["SC", "PPL", "PC", "RPC"]
 
@@ -59,9 +59,7 @@ def pc_confidence(batch: SampleBatch) -> Dict[AnswerLabel, float]:
     return _answer_sums(unique_paths(batch))
 
 
-def rpc_confidence(
-    batch: SampleBatch, config: FitConfig = FitConfig()
-) -> Tuple[Dict[AnswerLabel, float], PruningReport]:
+def rpc_confidence(batch: SampleBatch) -> Tuple[Dict[AnswerLabel, float], PruningReport]:
     """PC restricted to the unique paths that survive reasoning pruning.
 
     The mixture is fitted to the deduplicated path probabilities; a
@@ -70,13 +68,11 @@ def rpc_confidence(
     """
     batch.require_nonempty()
     uniques = unique_paths(batch)
-    report = prune([p.path_prob for p in uniques], config)
+    report = prune([p.path_prob for p in uniques])
     return _answer_sums(uniques[i] for i in report.retained_indices), report
 
 
-def estimate(
-    kind: EstimatorKind, batch: SampleBatch, config: FitConfig = FitConfig()
-) -> ConfidenceMap:
+def estimate(kind: EstimatorKind, batch: SampleBatch) -> ConfidenceMap:
     """Uniform dispatch over the estimator kinds."""
     if kind == "SC":
         return sc_confidence(batch)
@@ -85,7 +81,7 @@ def estimate(
     if kind == "PC":
         return pc_confidence(batch)
     if kind == "RPC":
-        return rpc_confidence(batch, config)[0]
+        return rpc_confidence(batch)[0]
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 

@@ -1,4 +1,4 @@
-"""Accuracy, calibration error, reliability bins, and budget curves."""
+"""Calibration error, reliability bins, and budget curves."""
 
 from __future__ import annotations
 
@@ -7,15 +7,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EmptyInputError
-from .paths import AnswerLabel
-
-
-def accuracy(selections: Sequence[Tuple[AnswerLabel, AnswerLabel]]) -> float:
-    """Mean equality indicator over (selected, truth) pairs."""
-    if len(selections) == 0:
-        raise EmptyInputError("accuracy over an empty selection list")
-    hits = sum(1 for selected, truth in selections if selected == truth)
-    return hits / len(selections)
 
 
 def _bin_index(confidence: float, bins: int) -> int:

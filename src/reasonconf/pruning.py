@@ -2,8 +2,8 @@
 
 The batch's path probabilities are modeled as a mixture of a high and a low
 Weibull component, fitted by deterministic EM with the first weight held in
-``WEIGHT_BOUNDS`` and accelerated by SQUAREM; ``FitConfig.max_iter`` counts
-EM maps.  Paths are kept when their posterior of belonging to the high
+``WEIGHT_BOUNDS``, accelerated by SQUAREM and stopped by ``MAX_MAPS`` or
+``TOL``.  Paths are kept when their posterior of belonging to the high
 component reaches 0.5, or when they clear the batch mean (the truncated-mean
 guard, which also makes the retained set provably non-empty).
 """
@@ -25,6 +25,10 @@ SHAPE_MIN = 1e-3
 SHAPE_MAX = 1e3
 # Clamp on the first component's weight, so neither component can vanish.
 WEIGHT_BOUNDS = (0.2, 0.8)
+# Cap on the EM maps (log-likelihood evaluations) a fit may take, extrapolated
+# or not, and the log-likelihood change below which it stops as converged.
+MAX_MAPS = 200
+TOL = 1e-8
 
 _EXP_CAP = 700.0  # exp argument cap to keep log-densities finite
 _LOG_SHAPE_MIN, _LOG_SHAPE_MAX = math.log(SHAPE_MIN), math.log(SHAPE_MAX)
@@ -66,25 +70,6 @@ class WeibullParams:
             return math.exp(self.log_mean())
         except OverflowError:
             return math.inf
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs for the mixture fit; defaults are the library's standard run.
-
-    ``max_iter`` caps the EM maps (log-likelihood evaluations) a fit may
-    take, extrapolated or not; ``tol``, a finite number above 0, is the
-    log-likelihood change below which a fit stops as converged.
-    """
-
-    max_iter: int = 200
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
-        if not 0.0 < self.tol < math.inf:
-            raise DomainError(f"tol {self.tol!r} is not a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -285,7 +270,7 @@ def _extrapolate(theta0, theta1, theta2, step_cap):
     return point, alpha
 
 
-def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> MixtureFit:
+def fit_mixture(probs: Sequence[float]) -> MixtureFit:
     """Bounded-weight maximum-likelihood fit of the two-Weibull mixture.
 
     Deterministic EM: responsibilities in the E-step, per-component weighted
@@ -300,11 +285,10 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
     not finite or falls below the one at t1, the cycle falls back to t2 and
     skips that map's M-step, so accepted log-likelihoods never decrease.
 
-    ``config.max_iter`` caps the number of EM maps, that is of
-    log-likelihood evaluations, which ``n_iter`` reports.  After every map
-    whose point is accepted, the fit stops once the log-likelihood moved
-    less than ``config.tol``; ``converged`` is False only when the cap
-    stopped it first.
+    ``MAX_MAPS`` caps the number of EM maps, that is of log-likelihood
+    evaluations, which ``n_iter`` reports.  After every map whose point is
+    accepted, the fit stops once the log-likelihood moved less than
+    ``TOL``; ``converged`` is False only when the cap stopped it first.
 
     Raises FitDegenerateError when fewer than 4 points or fewer than 2
     distinct values are supplied; callers fall back to mean-only pruning.
@@ -337,7 +321,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
     loglik = -math.inf
     converged = False
     n_maps = 0
-    while n_maps < config.max_iter:
+    while n_maps < MAX_MAPS:
         n_maps += 1
         w1, comp1, comp2 = theta
         l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
@@ -373,7 +357,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
             k2 = comp2.shape
         theta = (w1, comp1, comp2)
 
-        if abs(new_loglik - loglik) < config.tol:
+        if abs(new_loglik - loglik) < TOL:
             converged = True
             break
         loglik = new_loglik
@@ -382,7 +366,7 @@ def fit_mixture(probs: Sequence[float], config: FitConfig = FitConfig()) -> Mixt
             plain = [theta]
             continue
         plain.append(theta)
-        if len(plain) == 3 and n_maps < config.max_iter:
+        if len(plain) == 3 and n_maps < MAX_MAPS:
             theta, alpha = _extrapolate(*plain, step_cap)
             if theta is not plain[2]:
                 fallback = plain[2]
@@ -446,9 +430,7 @@ def p_high(x: float, fit: MixtureFit) -> float:
     return float(_p_high_arr(np.asarray([x], dtype=float), fit)[0])
 
 
-def prune(
-    probs: Sequence[float], config: FitConfig = FitConfig()
-) -> PruningReport:
+def prune(probs: Sequence[float]) -> PruningReport:
     """Split unique-path probabilities into retained and removed index sets.
 
     Retained = {i : p_high(p_i) >= 0.5} union {i : p_i >= mean(p)}.  When
@@ -463,7 +445,7 @@ def prune(
     mean = min(math.fsum(x) / len(x), max(x))
 
     try:
-        fit: Optional[MixtureFit] = fit_mixture(x, config)
+        fit: Optional[MixtureFit] = fit_mixture(x)
     except FitDegenerateError:
         fit = None
 

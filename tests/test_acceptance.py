@@ -38,7 +38,8 @@ from reasonconf import (
     sc_confidence,
     selection_for_scoring,
 )
-from reasonconf.pruning import FitConfig, MixtureFit, WeibullParams
+import reasonconf.pruning
+from reasonconf.pruning import MixtureFit, WeibullParams
 from reasonconf.cli import main
 
 from conftest import batch, label, oracle
@@ -262,7 +263,7 @@ def test_c06_mixture_fit_recovery():
         assert fit.loglik >= true_loglik - 0.01 * 128
 
 
-def test_c07_pruning_safety():
+def test_c07_pruning_safety(monkeypatch):
     """Retention never empties; pruned sums never exceed unpruned sums."""
     with criterion("C7 pruning safety", budget_s=30.0):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(77)))
@@ -288,19 +289,21 @@ def test_c07_pruning_safety():
             ]
             return batch(*triples)
 
-        light = FitConfig(max_iter=24)
+        # A light pass: fits capped at 24 EM maps.
+        monkeypatch.setattr(reasonconf.pruning, "MAX_MAPS", 24)
         checked_light = 0
         for _ in range(10_000):
             b = random_batch()
-            conf, report = rpc_confidence(b, light)
+            conf, report = rpc_confidence(b)
             assert len(report.retained_indices) >= 1
             pc = pc_confidence(b)
             for key, value in conf.items():
                 assert value <= pc[key] + 1e-15
             checked_light += 1
 
-        # The asserted property is config-independent; a default-config
-        # subsample guards the standard path too.
+        # The asserted property does not depend on the cap; a subsample at
+        # the default cap guards the standard path too.
+        monkeypatch.undo()
         for _ in range(400):
             b = random_batch()
             conf, report = rpc_confidence(b)

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import reasonconf.oracle
+import reasonconf.pruning
 from reasonconf.cli import RunConfig, _report_doc, decompose_rows, main
-from reasonconf import ConfigError, FitConfig, fit_mixture, load_jsonl, prune, unique_paths
+from reasonconf import ConfigError, fit_mixture, load_jsonl, prune, unique_paths
 from reasonconf.oracle import oracle_from_json
 
 
@@ -156,6 +157,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_doc({"fit": {"iterations": 3}})
 
+    def test_fit_section_is_an_unknown_key(self):
+        # The mixture fit has no settings: its cap and tolerance are constants.
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['fit'\]$"):
+            RunConfig.from_doc({"fit": {"max_iter": 200}})
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_doc({"methods": ["SC", "VOTE"]})
@@ -165,7 +171,7 @@ class TestRunConfig:
         assert cfg.methods == ("SC", "PPL", "PC", "RPC")
         assert cfg.n_grid == (64, 128)
         assert cfg.repeats == 10
-        assert cfg.fit == FitConfig(max_iter=200, tol=1e-8)
+        assert "fit" not in cfg.to_doc()
 
     def test_seed_override(self, tmp_path, config_file):
         cfg = RunConfig.load(config_file, seed_override=99)
@@ -244,6 +250,7 @@ class TestErrorHandling:
             ("--oracle", {"path_probs": [1.0], "path_answers": [1], "truth": "1"}),
             ("--oracle", {"path_probs": [1.0], "path_answers": ["A"], "truth": None}),
             ("--oracle", {"path_probs": [10**400], "path_answers": ["A"], "truth": "A"}),
+            # A fit section of any shape is an unknown key.
             ("--config", {"fit": {"max_iter": True}}),
             ("--config", {"fit": {"max_iter": 2.9}}),
             ("--config", {"fit": {"max_iter": "5"}}),
@@ -366,9 +373,44 @@ class TestErrorHandling:
 
     def test_print_defaults(self, capsys):
         assert main(["config", "--print-defaults"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert doc["repeats"] == 10
-        assert doc["fit"] == {"max_iter": 200, "tol": 1e-8}
+        assert "fit" not in doc
+        assert out.encode("utf-8") == (GOLDEN / "config_defaults.json").read_bytes()
+
+    @pytest.mark.parametrize("flag,value", [("--config", "c.json"), ("--seed", "3")])
+    def test_fit_mixture_takes_no_config(self, tmp_path, capsys, flag, value):
+        probs = tmp_path / "p.json"
+        probs.write_text(json.dumps({"probs": [0.6, 0.5, 0.55, 0.05, 0.08, 0.07]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-mixture", flag, value, "--input", str(probs)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("pid", ["p1", "p9"], ids=["in_dump", "not_in_dump"])
+    def test_truth_that_canonicalizes_to_nothing_is_named(self, tmp_path, capsys, pid):
+        dump = tmp_path / "one.jsonl"
+        dump.write_text(
+            json.dumps({"problem_id": "p1", "text": "a", "token_logprobs": [-0.2], "answer": "4"})
+            + "\n"
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"truths": {pid: "\\boxed{ }"}}))
+        assert main(["estimate", "--input", str(dump), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: malformed config: truths[{pid!r}] canonicalizes to an empty answer\n"
+        )
+        assert captured.out == ""
+
+    def test_config_prints_truths_canonicalized(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"truths": {"p1": " \\boxed{870}", "p2": "\\boxed{ YES }"}}))
+        assert main(["config", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["truths"] == {"p1": "870", "p2": "yes"}
 
 
 class TestEstimateOutputs:
@@ -512,7 +554,7 @@ class TestWarnings:
         assert messages[0].endswith("line(s) 2, 4, 5")
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
-    def test_capped_fits_warn(self, tmp_path, capsys, caplog, command):
+    def test_capped_fits_warn(self, tmp_path, capsys, caplog, monkeypatch, command):
         probs = [0.3, 0.2, 0.15, 0.12, 0.1, 0.06, 0.04, 0.03]
         answers = ["A", "B", "A", "C", "B", "A", "C", "D"]
         oracle = tmp_path / "oracle.json"
@@ -535,22 +577,23 @@ class TestWarnings:
             )
         )
         source = {"simulate": ["--oracle", str(oracle)], "estimate": ["--input", str(dump)]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": [16, 32], "repeats": 2}))
         outputs = []
-        for max_iter in (200, 1):
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(
-                json.dumps({"n_grid": [16, 32], "repeats": 2, "fit": {"max_iter": max_iter}})
-            )
+        for max_maps in (reasonconf.pruning.MAX_MAPS, 1):
+            monkeypatch.setattr(reasonconf.pruning, "MAX_MAPS", max_maps)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="reasonconf"):
                 assert main([command, "--config", str(cfg)] + source[command]) == 0
             outputs.append(capsys.readouterr().out)
             messages = [r.getMessage() for r in caplog.records]
-            if max_iter == 200:
+            if max_maps != 1:
                 assert messages == []
         # One map never converges: every fit stops at the cap.
         assert len(messages) == 1
-        match = re.fullmatch(r"(\d+) of (\d+) mixture fits stopped at max_iter", messages[0])
+        match = re.fullmatch(
+            r"(\d+) of (\d+) mixture fits stopped at the EM map cap", messages[0]
+        )
         assert match and match.group(1) == match.group(2) != "0"
         assert "mixture fits" not in outputs[1]
 

@@ -1,5 +1,7 @@
 """Accuracy, calibration error, reliability bins, budget curves."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,32 +11,37 @@ from reasonconf import (
     BudgetPoint,
     DomainError,
     EmptyInputError,
-    accuracy,
     budget_curve,
     budget_to_match,
     ece,
     reliability_bins,
 )
-
-from conftest import label
+from reasonconf.cli import main
 
 
 class TestAccuracy:
-    def test_half_right(self):
-        pairs = [(label("A"), label("A")), (label("B"), label("A"))]
-        assert accuracy(pairs) == 0.5
+    """The accuracy ``metrics`` prints: the share of rows marked correct."""
 
-    def test_all_right(self):
-        pairs = [(label("A"), label("A"))] * 4
-        assert accuracy(pairs) == 1.0
+    @staticmethod
+    def metrics_accuracy(tmp_path, capsys, correct):
+        results = tmp_path / "results.json"
+        rows = [{"confidence": 0.6, "correct": c} for c in correct]
+        results.write_text(json.dumps(rows))
+        code = main(["metrics", "--input", str(results), "--format", "json"])
+        captured = capsys.readouterr()
+        return json.loads(captured.out)["accuracy"] if code == 0 else captured.err
 
-    def test_all_wrong(self):
-        pairs = [(label("B"), label("A"))] * 3
-        assert accuracy(pairs) == 0.0
+    def test_half_right(self, tmp_path, capsys):
+        assert self.metrics_accuracy(tmp_path, capsys, [True, False]) == 0.5
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            accuracy([])
+    def test_all_right(self, tmp_path, capsys):
+        assert self.metrics_accuracy(tmp_path, capsys, [True] * 4) == 1.0
+
+    def test_all_wrong(self, tmp_path, capsys):
+        assert self.metrics_accuracy(tmp_path, capsys, [False] * 3) == 0.0
+
+    def test_empty_rejected(self, tmp_path, capsys):
+        assert self.metrics_accuracy(tmp_path, capsys, []).startswith("error: ")
 
 
 class TestEce:

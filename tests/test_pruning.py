@@ -14,7 +14,6 @@ from reasonconf import (
     DomainError,
     EmptyBatchError,
     FitDegenerateError,
-    FitConfig,
     MixtureFit,
     WeibullParams,
     fit_mixture,
@@ -22,6 +21,7 @@ from reasonconf import (
     p_high,
     prune,
 )
+import reasonconf.pruning
 from reasonconf.pruning import WEIGHT_BOUNDS
 
 
@@ -181,11 +181,6 @@ class TestFitMixture:
         with pytest.raises(DomainError):
             fit_mixture([0.1, 0.2, -0.3, 0.4])
 
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
-    def test_tol_outside_the_open_range_rejected(self, tol):
-        with pytest.raises(DomainError):
-            FitConfig(tol=tol)
-
     @given(
         st.lists(st.floats(min_value=-300.0, max_value=0.0), min_size=4, max_size=48)
         .map(lambda exps: [10.0**e for e in exps])
@@ -258,7 +253,7 @@ class TestFitMixture:
             np.testing.assert_array_equal(warm_e, cold_e)
             np.testing.assert_array_equal(cold_e, ws.exp_factor(cold.shape))
 
-    def test_retained_sets_match_a_tight_plain_em(self):
+    def test_retained_sets_match_a_tight_plain_em(self, monkeypatch):
         # Plain EM crawls on these batches; run to tol 1e-12 it reaches
         # the fixed point the accelerated fit must find.  At the default
         # tol both stop short of it, since |dloglik| < tol says little
@@ -277,20 +272,23 @@ class TestFitMixture:
             assert prune(probs).retained_indices == ref_keep
             plain = plain_em(probs, tol=1e-8, max_iter=200)
             assert fit_mixture(probs).loglik >= plain.loglik - 1e-8
-            tight = fit_mixture(probs, FitConfig(tol=1e-12, max_iter=100_000))
+            with monkeypatch.context() as patched:
+                patched.setattr(reasonconf.pruning, "TOL", 1e-12)
+                patched.setattr(reasonconf.pruning, "MAX_MAPS", 100_000)
+                tight = fit_mixture(probs)
             assert tight.loglik >= ref.loglik - 1e-9
 
     def test_converges_within_the_default_cap(self):
         fits = [fit_mixture(probs) for probs in SIMULATE_FAMILY]
         assert all(fit.converged for fit in fits)
-        assert max(fit.n_iter for fit in fits) < FitConfig().max_iter
+        assert max(fit.n_iter for fit in fits) < reasonconf.pruning.MAX_MAPS
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 24, 200])
-    def test_n_iter_never_exceeds_max_iter(self, max_iter):
-        cfg = FitConfig(max_iter=max_iter)
+    def test_n_iter_never_exceeds_max_iter(self, monkeypatch, max_iter):
+        monkeypatch.setattr(reasonconf.pruning, "MAX_MAPS", max_iter)
         batches = SIMULATE_FAMILY[:8] + [bimodal_sample(seed=s)[0].tolist() for s in range(4)]
         for probs in batches:
-            fit = fit_mixture(probs, cfg)
+            fit = fit_mixture(probs)
             assert fit.n_iter <= max_iter
             assert fit.converged or fit.n_iter == max_iter
 
@@ -417,7 +415,7 @@ class TestPrune:
     )
     @settings(max_examples=60, deadline=None)
     def test_never_empty(self, probs):
-        report = prune(probs, FitConfig(max_iter=16))
+        report = prune(probs)
         assert len(report.retained_indices) >= 1
 
     @given(
@@ -431,9 +429,8 @@ class TestPrune:
         # Adding a value above the running max raises the mean, which may
         # legitimately drop borderline members, but the new max itself is
         # always retained and retention never empties.
-        cfg = FitConfig(max_iter=16)
-        before = prune(probs, cfg)
-        after = prune(probs + [new_max], cfg)
+        before = prune(probs)
+        after = prune(probs + [new_max])
         assert len(before.retained_indices) >= 1
         assert len(after.retained_indices) >= 1
         assert len(probs) in after.retained_indices
