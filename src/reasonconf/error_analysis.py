@@ -169,10 +169,10 @@ def empirical_prune_failure_rate(
     indices, truth_mass, _ = target_paths(oracle, oracle.truth)
     if tau is None:
         tau = truth_mass
-    correct = list(indices)
-    counts = sample_count_matrix(oracle, n, trials, seed)[:, correct]
+    probs = np.asarray([oracle.path_probs[i] for i in indices])
+    counts = _kept_counts(probs, n, trials, seed)
     k_hat = counts.sum(axis=1)
-    mass = (counts * np.asarray(oracle.path_probs)[correct]).sum(axis=1)
+    mass = (counts * probs).sum(axis=1)
     with np.errstate(invalid="ignore"):
         mean_prob = np.where(k_hat > 0, mass / np.maximum(k_hat, 1), 0.0)
     failures = (k_hat == 0) | (mean_prob < tau)
@@ -247,22 +247,26 @@ def monte_carlo_estimation_error(
 ) -> MCErrorEstimate:
     """Estimation and reasoning error of an estimator over seeded trials.
 
-    Runs on the per-trial sample-count matrix, which determines the SC, PPL
-    and PC statistics without materializing path objects; a cross-check
-    against the object-level estimators is part of the test suite.
+    Runs on per-trial sample counts, which determine the SC, PPL and PC
+    statistics without materializing path objects; a cross-check against
+    the object-level estimators is part of the test suite.
     ``target_paths`` resolves the target: an answer (SC, PC) to its paths,
     an oracle path (PPL) to itself.  SC estimates their vote fraction; PC,
     and PPL over its one path, the summed mass of those that were sampled.
+
+    Each trial draws only the categories its statistic reads, with every
+    other path merged into one trailing category: SC draws the target's
+    total mass against the rest, PC and PPL each target path (in index
+    order) and then the rest.
     """
     if kind not in ("SC", "PPL", "PC"):
         raise ValueError(f"no fast Monte Carlo route for estimator {kind!r}")
     indices, true_p, is_correct = target_paths(oracle, target)
-    idx = list(indices)
-    counts = sample_count_matrix(oracle, n, trials, seed)[:, idx]
     if kind == "SC":
-        estimates = counts.sum(axis=1) / n
+        estimates = _kept_counts([min(1.0, true_p)], n, trials, seed)[:, 0] / n
     else:
-        estimates = ((counts > 0) * np.asarray(oracle.path_probs)[idx]).sum(axis=1)
+        probs = np.asarray([oracle.path_probs[i] for i in indices])
+        estimates = ((_kept_counts(probs, n, trials, seed) > 0) * probs).sum(axis=1)
     sq = (estimates - true_p) ** 2
     return MCErrorEstimate(
         true_prob=true_p,
@@ -272,6 +276,21 @@ def monte_carlo_estimation_error(
         stderr=float(np.std(sq) / math.sqrt(trials)),
         trials=trials,
     )
+
+
+def _kept_counts(
+    kept: Sequence[float], n: int, trials: int, seed: int
+) -> np.ndarray:
+    """Per-trial counts of the ``kept`` categories, shape (trials, len(kept)).
+
+    Every other path is merged into one trailing "rest" category, drawn
+    and then dropped; the kept columns have the joint law they have over
+    all paths.  Rest goes last, so where it stands for the oracle's last
+    path alone the draw is the very one made over all paths.  Its mass is
+    clamped at 0, since oracle probabilities may sum to 1 + 1e-12.
+    """
+    rest = max(0.0, 1.0 - math.fsum(kept))
+    return sample_count_matrix([*kept, rest], n, trials, seed)[:, :-1]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -140,18 +140,27 @@ def sample_batch(oracle: OracleSpec, n: int, seed: int) -> SampleBatch:
 
 
 def sample_count_matrix(
-    oracle: OracleSpec, n: int, trials: int, seed: int
+    probs: Sequence[float], n: int, trials: int, seed: int
 ) -> np.ndarray:
-    """Per-trial sample counts, shape (trials, num_paths).
+    """Per-trial sample counts over the categories of ``probs``.
 
-    Row t holds how many of the n draws in trial t landed on each path;
-    equivalent in distribution to counting ``sample_batch`` draws, but
-    vectorized for large Monte Carlo runs.
+    Returns shape (trials, len(probs)): row t holds how many of the n draws
+    in trial t landed in each category.  Over an oracle's ``path_probs``
+    this is equivalent in distribution to counting ``sample_batch`` draws,
+    but vectorized for large Monte Carlo runs.
+
+    A coarser partition is equivalent for any statistic that reads only
+    some paths: keep those paths' probabilities and merge every other path
+    into one category holding their summed mass.  By the aggregation
+    property of the multinomial, the kept columns then have exactly the
+    joint law they have over all paths.  Each probability must lie in
+    [0, 1], and all but the last must sum to at most 1 + 1e-12; the last
+    category takes the draws the others leave.
     """
     if n < 1:
         raise InvalidSampleSizeError(f"sample size must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return rng.multinomial(n, np.asarray(oracle.path_probs), size=trials)
+    return rng.multinomial(n, np.asarray(probs, dtype=float), size=trials)
 
 
 def indicator(is_correct: bool) -> float:

@@ -221,49 +221,52 @@ class TestErrorHandling:
         )
         assert main(["estimate", "--input", str(dest)]) == 1
 
+    # Each case names its id, so adding or removing a case leaves every
+    # other id in place.  The ids keep the names pytest gave the cases by
+    # position.
     @pytest.mark.parametrize(
         "flag,doc",
         [
-            ("--config", {"seed": "abc"}),
-            ("--config", {"repeats": "x"}),
-            ("--config", {"n_grid": 5}),
-            ("--config", {"truths": [1]}),
-            ("--config", {"fit": 3}),
-            ("--config", {"fit": {"weight_bounds": [0.5]}}),
-            ("--config", {"trials": -5}),
-            ("--config", {"trials": 0}),
-            ("--config", {"bins": 0}),
-            ("--oracle", [1]),
-            ("--oracle", {"path_probs": ["x"], "path_answers": ["A"], "truth": "A"}),
-            ("--oracle", {"path_probs": 1, "path_answers": ["A"], "truth": "A"}),
-            ("--config", {"truths": {"p1": None}}),
-            ("--config", {"truths": {"p1": 42}}),
-            ("--config", {"seed": True}),
-            ("--config", {"n_grid": [4.9]}),
-            ("--config", {"repeats": 2.7}),
-            ("--config", {"trials": True}),
-            ("--config", {"bins": 1.5}),
-            ("--config", {"seed": math.inf}),
-            ("--oracle", {"path_probs": [True], "path_answers": ["A"], "truth": "A"}),
-            ("--oracle", {"path_probs": ["0.5", 0.5], "path_answers": ["A", "B"], "truth": "A"}),
-            ("--oracle", {"path_probs": [1.0], "path_answers": [None], "truth": "A"}),
-            ("--oracle", {"path_probs": [1.0], "path_answers": [1], "truth": "1"}),
-            ("--oracle", {"path_probs": [1.0], "path_answers": ["A"], "truth": None}),
-            ("--oracle", {"path_probs": [10**400], "path_answers": ["A"], "truth": "A"}),
+            pytest.param("--config", {"seed": "abc"}, id="--config-doc0"),
+            pytest.param("--config", {"repeats": "x"}, id="--config-doc1"),
+            pytest.param("--config", {"n_grid": 5}, id="--config-doc2"),
+            pytest.param("--config", {"truths": [1]}, id="--config-doc3"),
+            pytest.param("--config", {"fit": 3}, id="--config-doc4"),
+            pytest.param("--config", {"fit": {"weight_bounds": [0.5]}}, id="--config-doc5"),
+            pytest.param("--config", {"trials": -5}, id="--config-doc6"),
+            pytest.param("--config", {"trials": 0}, id="--config-doc7"),
+            pytest.param("--config", {"bins": 0}, id="--config-doc8"),
+            pytest.param("--oracle", [1], id="--oracle-doc9"),
+            pytest.param("--oracle", {"path_probs": ["x"], "path_answers": ["A"], "truth": "A"}, id="--oracle-doc10"),
+            pytest.param("--oracle", {"path_probs": 1, "path_answers": ["A"], "truth": "A"}, id="--oracle-doc11"),
+            pytest.param("--config", {"truths": {"p1": None}}, id="--config-doc12"),
+            pytest.param("--config", {"truths": {"p1": 42}}, id="--config-doc13"),
+            pytest.param("--config", {"seed": True}, id="--config-doc14"),
+            pytest.param("--config", {"n_grid": [4.9]}, id="--config-doc15"),
+            pytest.param("--config", {"repeats": 2.7}, id="--config-doc16"),
+            pytest.param("--config", {"trials": True}, id="--config-doc17"),
+            pytest.param("--config", {"bins": 1.5}, id="--config-doc18"),
+            pytest.param("--config", {"seed": math.inf}, id="--config-doc19"),
+            pytest.param("--oracle", {"path_probs": [True], "path_answers": ["A"], "truth": "A"}, id="--oracle-doc20"),
+            pytest.param("--oracle", {"path_probs": ["0.5", 0.5], "path_answers": ["A", "B"], "truth": "A"}, id="--oracle-doc21"),
+            pytest.param("--oracle", {"path_probs": [1.0], "path_answers": [None], "truth": "A"}, id="--oracle-doc22"),
+            pytest.param("--oracle", {"path_probs": [1.0], "path_answers": [1], "truth": "1"}, id="--oracle-doc23"),
+            pytest.param("--oracle", {"path_probs": [1.0], "path_answers": ["A"], "truth": None}, id="--oracle-doc24"),
+            pytest.param("--oracle", {"path_probs": [10**400], "path_answers": ["A"], "truth": "A"}, id="--oracle-doc25"),
             # A fit section of any shape is an unknown key.
-            ("--config", {"fit": {"max_iter": True}}),
-            ("--config", {"fit": {"max_iter": 2.9}}),
-            ("--config", {"fit": {"max_iter": "5"}}),
-            ("--config", {"fit": {"tol": "0.001"}}),
-            ("--config", {"fit": {"tol": math.nan}}),
-            ("--config", {"fit": {"tol": math.inf}}),
-            ("--config", {"fit": {"tol": -1}}),
-            ("--config", {"fit": {"tol": 0}}),
-            ("--config", {"fit": {"tol": True}}),
-            ("--config", {"fit": {"tol": 10**400}}),
-            ("--config", {"fit": {"weight_bounds": [True, 0.8]}}),
-            ("--config", {"fit": {"weight_bounds": [0.2, "0.8"]}}),
-            ("--config", {"seed": "5"}),
+            pytest.param("--config", {"fit": {"max_iter": True}}, id="--config-doc26"),
+            pytest.param("--config", {"fit": {"max_iter": 2.9}}, id="--config-doc27"),
+            pytest.param("--config", {"fit": {"max_iter": "5"}}, id="--config-doc28"),
+            pytest.param("--config", {"fit": {"tol": "0.001"}}, id="--config-doc29"),
+            pytest.param("--config", {"fit": {"tol": math.nan}}, id="--config-doc30"),
+            pytest.param("--config", {"fit": {"tol": math.inf}}, id="--config-doc31"),
+            pytest.param("--config", {"fit": {"tol": -1}}, id="--config-doc32"),
+            pytest.param("--config", {"fit": {"tol": 0}}, id="--config-doc33"),
+            pytest.param("--config", {"fit": {"tol": True}}, id="--config-doc34"),
+            pytest.param("--config", {"fit": {"tol": 10**400}}, id="--config-doc35"),
+            pytest.param("--config", {"fit": {"weight_bounds": [True, 0.8]}}, id="--config-doc36"),
+            pytest.param("--config", {"fit": {"weight_bounds": [0.2, "0.8"]}}, id="--config-doc37"),
+            pytest.param("--config", {"seed": "5"}, id="--config-doc38"),
         ],
     )
     def test_malformed_document_is_an_error_line(
@@ -680,3 +683,33 @@ class TestEstimateGolden:
             rows = [r for r in json.loads(capsys.readouterr().out) if r["problem_id"] == "p2"]
             assert len(rows) == 4
             assert all(r["correct"] is correct for r in rows)
+
+
+class TestConvergenceGolden:
+    """``convergence``'s output bytes, pinned by ``tests/golden/convergence.txt``.
+
+    The truth's paths 1 and 4 sit between other answers' paths, so every
+    Monte Carlo draw merges paths on both sides of its target; a change to
+    the random stream shows in this file's diff.
+    """
+
+    def test_stdout_bytes(self, tmp_path, capsys):
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(
+            json.dumps(
+                {
+                    "path_probs": [0.1, 0.25, 0.15, 0.05, 0.2, 0.25],
+                    "path_answers": ["B", "A", "C", "D", "A", "E"],
+                    "truth": "A",
+                }
+            )
+        )
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            json.dumps(
+                {"seed": 11, "methods": ["SC", "PPL", "PC"], "n_grid": [2, 4, 8, 16], "trials": 2000}
+            )
+        )
+        assert main(["convergence", "--oracle", str(oracle), "--config", str(cfg)]) == 0
+        expected = (GOLDEN / "convergence.txt").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reasonconf.error_analysis as error_analysis
 from reasonconf import (
     AssumptionError,
     DomainError,
@@ -19,6 +20,7 @@ from reasonconf import (
     pc_confidence,
     ppl_closed_form,
     ppl_confidence,
+    sample_count_matrix,
     sc_closed_form,
     sc_confidence,
 )
@@ -360,3 +362,71 @@ class TestRateFit:
         ]
         fit = RateFit.fit(ns, errors, "loglog")
         assert fit.slope == pytest.approx(-1.0, abs=0.1)
+
+
+# The truth's paths 1 and 3 each sit between paths of other answers, so a
+# draw over the target merges paths on both sides of it.
+INTERLEAVED = oracle([0.1, 0.3, 0.15, 0.25, 0.2], ["B", "A", "C", "A", "D"], "A")
+# The truth owns every path, and the probabilities sum to 1 + 9e-13,
+# inside the oracle's 1e-12 tolerance.
+OVERFULL = oracle([0.25, 0.25, 0.5 + 9e-13], ["A", "A", "A"], "A")
+MC_FNS = {"SC": sc_confidence, "PC": pc_confidence, "PPL": ppl_confidence}
+
+
+class TestMonteCarloDrawsOnlyTheTargetsPaths:
+    """Monte Carlo draws the target's paths plus one merged "rest" category."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["SC", "PC", "PPL"])
+    def test_interleaved_target_agrees_with_enumeration(self, kind, n):
+        target = INTERLEAVED.paths[3] if kind == "PPL" else label("A")
+        enum = exact_estimator_moments(INTERLEAVED, n, MC_FNS[kind], target)
+        mc = monte_carlo_estimation_error(
+            INTERLEAVED, kind, target, n, trials=100_000, seed=23
+        )
+        assert abs(mc.estimation_error - enum.estimation_error) <= 5 * mc.stderr
+        assert mc.true_prob == pytest.approx(enum.true_prob, abs=1e-15)
+
+    def test_target_owning_every_path_with_excess_mass(self):
+        sc = monte_carlo_estimation_error(OVERFULL, "SC", label("A"), 4, 1000, seed=3)
+        assert sc.true_prob > 1.0
+        # Every draw lands on the target, so each trial's vote fraction is 1.
+        assert sc.estimation_error == pytest.approx((1.0 - sc.true_prob) ** 2)
+        pc = monte_carlo_estimation_error(OVERFULL, "PC", label("A"), 4, 50_000, seed=3)
+        enum = exact_estimator_moments(OVERFULL, 4, pc_confidence, label("A"))
+        assert abs(pc.estimation_error - enum.estimation_error) <= 5 * pc.stderr
+        assert empirical_prune_failure_rate(OVERFULL, 4, 500, seed=1, tau=0.2) == 0.0
+
+    @pytest.mark.parametrize("kind", ["SC", "PC"])
+    def test_absent_target_has_zero_error(self, kind):
+        mc = monte_carlo_estimation_error(INTERLEAVED, kind, label("Z"), 4, 1000, seed=5)
+        assert (mc.true_prob, mc.estimation_error, mc.stderr) == (0.0, 0.0, 0.0)
+        assert not mc.is_correct
+
+    def test_absent_truth_fails_every_prune_trial(self):
+        spec = oracle(INTERLEAVED.path_probs, ["B", "A", "C", "A", "D"], "Z")
+        assert empirical_prune_failure_rate(spec, 4, 500, seed=1) == 1.0
+
+    def test_rest_last_is_the_full_draw_when_it_stands_for_one_path(self):
+        spec = oracle([0.3, 0.3, 0.4], ["A", "A", "B"], "A")
+        mc = monte_carlo_estimation_error(spec, "PC", label("A"), 8, 1000, seed=11)
+        full = sample_count_matrix(spec.path_probs, 8, 1000, 11)[:, :2]
+        estimates = ((full > 0) * np.array([0.3, 0.3])).sum(axis=1)
+        assert mc.estimation_error == float(np.mean((estimates - 0.6) ** 2))
+
+    def test_no_draw_is_wider_than_the_target_plus_one(self, monkeypatch):
+        widths = []
+
+        def recording(probs, n, trials, seed):
+            counts = sample_count_matrix(probs, n, trials, seed)
+            widths.append(counts.shape[1])
+            return counts
+
+        monkeypatch.setattr(error_analysis, "sample_count_matrix", recording)
+        for kind in ("SC", "PC", "PPL"):
+            target = INTERLEAVED.paths[3] if kind == "PPL" else label("A")
+            monte_carlo_estimation_error(INTERLEAVED, kind, target, 4, 200, seed=1)
+        empirical_prune_failure_rate(INTERLEAVED, 4, 200, seed=1)
+        # SC: the target's mass and the rest; PC and prune: the truth's two
+        # paths and the rest; PPL: its one path and the rest.
+        assert widths == [2, 3, 2, 3]
