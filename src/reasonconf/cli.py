@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -109,8 +108,11 @@ class RunConfig:
             if not all(isinstance(v, str) for v in truths.values()):
                 raise ConfigError("truths values must be strings")
             truths = {str(k): _canonical_truth(k, v) for k, v in truths.items()}
+        seed = _whole("seed", merged["seed"])
+        if seed < 0:
+            raise ConfigError(f"malformed config: seed {seed} is negative")
         return cls(
-            seed=_whole("seed", merged["seed"]),
+            seed=seed,
             methods=methods,
             prob_mode=merged["prob_mode"],
             n_grid=n_grid,
@@ -511,9 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("REASONCONF_LOG_LEVEL", "WARNING").upper()
-    )
+    logging.basicConfig(level=logging.WARNING)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

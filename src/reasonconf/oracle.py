@@ -238,7 +238,9 @@ def exact_estimator_moments(
     if n < 1:
         raise InvalidSampleSizeError(f"enumeration needs n >= 1, got {n}")
     m = oracle.num_paths
-    if m**n > ENUMERATION_CAP:
+    # 2^bit_length exceeds the cap, so for M >= 2 a long enough n is past
+    # it without building the integer M^n.
+    if m >= 2 and (n >= ENUMERATION_CAP.bit_length() or m**n > ENUMERATION_CAP):
         raise EnumerationTooLargeError(
             f"{m}^{n} ordered outcomes exceed the cap of {ENUMERATION_CAP}"
         )
@@ -250,9 +252,12 @@ def exact_estimator_moments(
     outcome_probs: List[float] = []
     values: List[float] = []
     for idx in combinations_with_replacement(range(m), n):
-        orderings = math.factorial(n)
+        # n!/prod(c_i!) as prod C(c_1 + ... + c_i, c_i), never building n!.
+        orderings, placed = 1, 0
         for i in range(m):
-            orderings //= math.factorial(idx.count(i))
+            c = idx.count(i)
+            placed += c
+            orderings *= math.comb(placed, c)
         weight = orderings * math.prod(oracle.path_probs[i] for i in idx)
         batch = SampleBatch(paths=tuple(paths[i] for i in idx), problem_id="enum")
         outcome_probs.append(weight)

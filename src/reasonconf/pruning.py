@@ -154,27 +154,16 @@ class _ShapeWorkspace:
         self.powers = np.stack(
             [np.ones_like(log_x), log_x, log_x * log_x], axis=1
         )
-        self._w = np.empty_like(log_x)
 
-    def exp_factor(self, k: float) -> np.ndarray:
-        """The weight-independent factor exp(k * (ln x - max ln x))."""
-        e = np.multiply(self.centered, k)
-        np.exp(e, out=e)
-        return e
-
-    def stats(self, e: np.ndarray, r: np.ndarray):
-        """[S0, S1, S2] for weights r at the shape whose factor is e."""
+    def stats(self, k: float, r: np.ndarray):
+        """[S0, S1, S2] for weights r at shape k."""
         # np.dot reaches the same BLAS kernel as ``@`` with less overhead.
-        return np.dot(np.multiply(e, r, out=self._w), self.powers).tolist()
+        return np.dot(np.exp(self.centered * k) * r, self.powers).tolist()
 
 
 def _weighted_mle(
-    r: np.ndarray,
-    r_sum: float,
-    ws: _ShapeWorkspace,
-    k_start: float,
-    e_start: Optional[np.ndarray] = None,
-) -> Tuple[WeibullParams, np.ndarray]:
+    r: np.ndarray, r_sum: float, ws: _ShapeWorkspace, k_start: float
+) -> WeibullParams:
     """Weighted Weibull MLE: shape from safeguarded root-finding, scale closed.
 
     The shape solves g(k) = S1/S0 - 1/k - mean_r(ln x) = 0, which is
@@ -184,21 +173,15 @@ def _weighted_mle(
     the solve usually exits after one evaluation once EM has settled.  The
     scale is then lam = (S0 / sum r)^(1/k), reusing the power sums from the
     final shape evaluation.
-
-    ``e_start`` may carry ``ws.exp_factor(k_start)`` from an earlier solve;
-    the factor at the returned shape comes back for the next one.
     """
     t = float(np.dot(r, ws.log_x)) / r_sum
     lo, hi = SHAPE_MIN, SHAPE_MAX
     k = min(max(k_start, lo), hi)
-    e = e_start if k == k_start else None
     s0 = 0.0
     k_eval = k
     for _ in range(60):
         k_eval = k
-        if e is None:
-            e = ws.exp_factor(k)
-        s0, s1, s2 = ws.stats(e, r)
+        s0, s1, s2 = ws.stats(k, r)
         if s0 <= 0.0:
             g, slope = -1.0, 1.0 / (k * k)
         else:
@@ -218,15 +201,13 @@ def _weighted_mle(
         if abs(k_new - k) < 1e-12 * k:
             break
         k = k_new
-        e = None
     if k != k_eval:
-        e = ws.exp_factor(k)
-        s0 = ws.stats(e, r)[0]
+        s0 = ws.stats(k, r)[0]
     if s0 <= 0.0:
         scale = math.exp(ws.shift)
     else:
         scale = math.exp(ws.shift + math.log(s0 / r_sum) / k)
-    return WeibullParams(shape=k, scale=scale), e
+    return WeibullParams(shape=k, scale=scale)
 
 
 def _extrapolate(theta0, theta1, theta2, step_cap):
@@ -308,9 +289,6 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
     order = np.argsort(x, kind="stable")
     half = x.size // 2
     theta = (0.5, _moment_init(x[order[:half]]), _moment_init(x[order[half:]]))
-    # Each component's last exp factor and the shape it was computed at.
-    k1 = k2 = math.nan
-    e1 = e2 = None
     # The plain iterates of the current cycle; while theta is an
     # extrapolated point, the t2 to fall back to and the step length.
     plain = [theta]
@@ -337,8 +315,7 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
             if alpha == -step_cap:
                 step_cap *= 4.0
 
-        r1 = np.subtract(l1, norm)
-        np.exp(r1, out=r1)
+        r1 = np.exp(l1 - norm)
         r1_sum = float(r1.sum())
         r2 = 1.0 - r1
 
@@ -346,15 +323,9 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
         w1 = min(max(r1_sum / x.size, lo_w), hi_w)
 
         if r1_sum > 1e-12:
-            comp1, e1 = _weighted_mle(
-                r1, r1_sum, ws, comp1.shape, e1 if comp1.shape == k1 else None
-            )
-            k1 = comp1.shape
+            comp1 = _weighted_mle(r1, r1_sum, ws, comp1.shape)
         if r2_sum > 1e-12:
-            comp2, e2 = _weighted_mle(
-                r2, r2_sum, ws, comp2.shape, e2 if comp2.shape == k2 else None
-            )
-            k2 = comp2.shape
+            comp2 = _weighted_mle(r2, r2_sum, ws, comp2.shape)
         theta = (w1, comp1, comp2)
 
         if abs(new_loglik - loglik) < TOL:

@@ -188,6 +188,13 @@ class TestErrorHandling:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_negative_seed_is_an_error_line(self, oracle_file, capsys, command):
+        assert main([command, "--oracle", oracle_file, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: malformed config: seed -1 is negative\n"
+        assert captured.out == ""
+
     def test_missing_oracle_exits_nonzero(self, capsys):
         assert main(["simulate", "--oracle", "/nonexistent.json"]) == 1
 
@@ -232,7 +239,6 @@ class TestErrorHandling:
             pytest.param("--config", {"n_grid": 5}, id="--config-doc2"),
             pytest.param("--config", {"truths": [1]}, id="--config-doc3"),
             pytest.param("--config", {"fit": 3}, id="--config-doc4"),
-            pytest.param("--config", {"fit": {"weight_bounds": [0.5]}}, id="--config-doc5"),
             pytest.param("--config", {"trials": -5}, id="--config-doc6"),
             pytest.param("--config", {"trials": 0}, id="--config-doc7"),
             pytest.param("--config", {"bins": 0}, id="--config-doc8"),
@@ -253,20 +259,8 @@ class TestErrorHandling:
             pytest.param("--oracle", {"path_probs": [1.0], "path_answers": [1], "truth": "1"}, id="--oracle-doc23"),
             pytest.param("--oracle", {"path_probs": [1.0], "path_answers": ["A"], "truth": None}, id="--oracle-doc24"),
             pytest.param("--oracle", {"path_probs": [10**400], "path_answers": ["A"], "truth": "A"}, id="--oracle-doc25"),
-            # A fit section of any shape is an unknown key.
-            pytest.param("--config", {"fit": {"max_iter": True}}, id="--config-doc26"),
-            pytest.param("--config", {"fit": {"max_iter": 2.9}}, id="--config-doc27"),
-            pytest.param("--config", {"fit": {"max_iter": "5"}}, id="--config-doc28"),
-            pytest.param("--config", {"fit": {"tol": "0.001"}}, id="--config-doc29"),
-            pytest.param("--config", {"fit": {"tol": math.nan}}, id="--config-doc30"),
-            pytest.param("--config", {"fit": {"tol": math.inf}}, id="--config-doc31"),
-            pytest.param("--config", {"fit": {"tol": -1}}, id="--config-doc32"),
-            pytest.param("--config", {"fit": {"tol": 0}}, id="--config-doc33"),
-            pytest.param("--config", {"fit": {"tol": True}}, id="--config-doc34"),
-            pytest.param("--config", {"fit": {"tol": 10**400}}, id="--config-doc35"),
-            pytest.param("--config", {"fit": {"weight_bounds": [True, 0.8]}}, id="--config-doc36"),
-            pytest.param("--config", {"fit": {"weight_bounds": [0.2, "0.8"]}}, id="--config-doc37"),
             pytest.param("--config", {"seed": "5"}, id="--config-doc38"),
+            pytest.param("--config", {"seed": -1}, id="--config-doc39"),
         ],
     )
     def test_malformed_document_is_an_error_line(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +157,38 @@ class TestExactEstimatorMoments:
         spec = oracle([0.1] * 10, [f"a{i}" for i in range(10)], "a0")
         with pytest.raises(EnumerationTooLargeError):
             exact_estimator_moments(spec, 8, sc_confidence, label("a0"))
+
+    @pytest.mark.parametrize(
+        "m,n,allowed",
+        [(10, 7, True), (3163, 2, False), (2, 23, True), (2, 24, False)],
+    )
+    def test_enumeration_cap_boundary(self, m, n, allowed):
+        # M^n = 10^7 is allowed and 3163^2 = 10004569 is not; for M = 2,
+        # n = 23 gives 2^23 < 10^7 and n = 24 is past the cap by bit length.
+        spec = oracle([1.0 / m] * m, ["A"] * m, "A")
+        if allowed:
+            enum = exact_estimator_moments(spec, n, lambda batch: {}, label("A"))
+            assert len(enum.outcome_probs) == math.comb(n + m - 1, n)
+        else:
+            with pytest.raises(EnumerationTooLargeError):
+                exact_estimator_moments(spec, n, sc_confidence, label("A"))
+
+    @pytest.mark.parametrize(
+        "probs,n,allowed",
+        [((0.3, 0.3, 0.4), 30_000_000, False), ((1.0,), 1_000_000, True)],
+    )
+    def test_cap_check_and_weights_stay_cheap_for_huge_n(self, probs, n, allowed):
+        # The cap check must not build 3^n, nor the weight n!: at these n
+        # either costs tens of seconds.
+        spec = oracle(probs, ["A"] * len(probs), "A")
+        start = time.perf_counter()
+        if allowed:
+            enum = exact_estimator_moments(spec, n, sc_confidence, label("A"))
+            assert enum.outcome_probs == (1.0,)
+        else:
+            with pytest.raises(EnumerationTooLargeError):
+                exact_estimator_moments(spec, n, sc_confidence, label("A"))
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("kind", ["SC", "PPL", "RPC"])
     def test_one_estimator_call_per_count_vector(self, kind):

@@ -100,8 +100,8 @@ def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
         r1 = np.exp(l1 - norm)
         r1_sum = float(r1.sum())
         w1 = min(max(r1_sum / x.size, 0.2), 0.8)
-        comp1 = _weighted_mle(r1, r1_sum, ws, comp1.shape)[0]
-        comp2 = _weighted_mle(1.0 - r1, x.size - r1_sum, ws, comp2.shape)[0]
+        comp1 = _weighted_mle(r1, r1_sum, ws, comp1.shape)
+        comp2 = _weighted_mle(1.0 - r1, x.size - r1_sum, ws, comp2.shape)
         if abs(new_loglik - loglik) < tol:
             converged = True
             break
@@ -232,26 +232,6 @@ class TestFitMixture:
         a = fit_mixture(values.tolist())
         b = fit_mixture(values.tolist())
         assert (a.comp1, a.comp2, a.w1, a.loglik) == (b.comp1, b.comp2, b.w1, b.loglik)
-
-    def test_carried_exp_factor_changes_no_bit(self):
-        # Each M-step solve starts from the factor exp(k * centered ln x)
-        # kept from the previous sweep; it must land exactly where a solve
-        # that recomputes the factor lands.
-        from reasonconf.pruning import _ShapeWorkspace, _weighted_mle
-
-        values, _ = bimodal_sample(seed=5, n=64)
-        ws = _ShapeWorkspace(np.log(values))
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(6)))
-        for k_start in (0.3, 1.0, 2.5, 40.0):
-            r = rng.random(values.size)
-            r_sum = float(r.sum())
-            cold, cold_e = _weighted_mle(r, r_sum, ws, k_start)
-            warm, warm_e = _weighted_mle(
-                r, r_sum, ws, k_start, ws.exp_factor(k_start)
-            )
-            assert warm == cold
-            np.testing.assert_array_equal(warm_e, cold_e)
-            np.testing.assert_array_equal(cold_e, ws.exp_factor(cold.shape))
 
     def test_retained_sets_match_a_tight_plain_em(self, monkeypatch):
         # Plain EM crawls on these batches; run to tol 1e-12 it reaches

@@ -80,3 +80,45 @@ def test_no_module_imports_a_name_it_never_reads():
         and (names := _unread_imports(file.read_text(encoding="utf-8")))
     }
     assert not unread, f"imported but never read: {unread}"
+
+
+_ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
+
+
+def _environment_reads(source):
+    """``os.environ``, ``os.getenv`` and ``os.putenv`` uses, imported ones too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _ENVIRONMENT_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            found.add(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update(
+                f"os.{alias.name}"
+                for alias in node.names
+                if alias.name in _ENVIRONMENT_NAMES
+            )
+    return sorted(found)
+
+
+def test_environment_reads_are_detected():
+    source = (
+        "import os\n"
+        "from os import getenv as g, sep\n"
+        "level = os.environ.get('LEVEL', os.sep)\n"
+        "os.putenv('A', 'b')\n"
+    )
+    assert _environment_reads(source) == ["os.environ", "os.getenv", "os.putenv"]
+
+
+def test_no_module_reads_the_environment():
+    reads = {
+        file.name: names
+        for file in sorted(PACKAGE.glob("*.py"))
+        if (names := _environment_reads(file.read_text(encoding="utf-8")))
+    }
+    assert not reads, f"reads the environment: {reads}"
