@@ -3,7 +3,10 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -177,6 +180,13 @@ class TestRunConfig:
         cfg = RunConfig.load(config_file, seed_override=99)
         assert cfg.seed == 99
 
+    def test_seed_bound_is_zero(self):
+        assert RunConfig.from_doc({"seed": 0}).seed == 0
+        with pytest.raises(ConfigError, match=r"^malformed config: seed -1 is negative$"):
+            RunConfig.from_doc({"seed": -1})
+        with pytest.raises(ConfigError, match=r"^malformed config: seed -7 is negative$"):
+            RunConfig.load(None, seed_override=-7)
+
 
 class TestErrorHandling:
     def test_bad_config_exits_nonzero(self, tmp_path, oracle_file, capsys):
@@ -194,6 +204,38 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.err == "error: malformed config: seed -1 is negative\n"
         assert captured.out == ""
+
+    def test_config_command_rejects_negative_seed(self, tmp_path, capsys):
+        # `config` echoes the effective configuration; a negative seed is
+        # not one, so nothing is printed back.
+        bad = tmp_path / "neg.json"
+        bad.write_text(json.dumps({"seed": -5}))
+        assert main(["config", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: malformed config: seed -5 is negative\n"
+        assert captured.out == ""
+
+    def test_log_level_variable_is_not_read(self):
+        # REASONCONF_LOG_LEVEL once set the log level; an unknown level
+        # made every command fail.  The program now reads no environment.
+        # A fresh process is used because logging.basicConfig only acts on
+        # a root logger without handlers, and pytest installs some.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = "import sys; from reasonconf.cli import main; sys.exit(main(sys.argv[1:]))"
+        outputs = []
+        for extra in ({}, {"REASONCONF_LOG_LEVEL": "loud"}):
+            env = {k: v for k, v in os.environ.items() if k != "REASONCONF_LOG_LEVEL"}
+            env.update(PYTHONPATH=src, **extra)
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "config", "--print-defaults"],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            assert proc.stderr == b""
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] != b""
 
     def test_missing_oracle_exits_nonzero(self, capsys):
         assert main(["simulate", "--oracle", "/nonexistent.json"]) == 1

@@ -233,6 +233,27 @@ class TestFitMixture:
         b = fit_mixture(values.tolist())
         assert (a.comp1, a.comp2, a.w1, a.loglik) == (b.comp1, b.comp2, b.w1, b.loglik)
 
+    def test_weighted_mle_is_a_pure_function(self):
+        # The M-step reads only its arguments: repeated calls, calls in a
+        # different order and a fresh workspace all give the same result,
+        # and the weights are left as they were.
+        from reasonconf.pruning import _ShapeWorkspace, _weighted_mle
+
+        values, _ = bimodal_sample(seed=5, n=64)
+        ws = _ShapeWorkspace(np.log(values))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(6)))
+        cases = []
+        for k_start in (0.3, 1.0, 2.5, 40.0):
+            r = rng.random(values.size)
+            cases.append((r, float(r.sum()), k_start))
+        first = [_weighted_mle(r, r_sum, ws, k) for r, r_sum, k in cases]
+        assert all(type(params) is WeibullParams for params in first)
+        kept = [r.copy() for r, _, _ in cases]
+        fresh = _ShapeWorkspace(np.log(values))
+        again = [_weighted_mle(r, r_sum, fresh, k) for r, r_sum, k in reversed(cases)]
+        assert again[::-1] == first
+        assert all(np.array_equal(r, r0) for (r, _, _), r0 in zip(cases, kept))
+
     def test_retained_sets_match_a_tight_plain_em(self, monkeypatch):
         # Plain EM crawls on these batches; run to tol 1e-12 it reaches
         # the fixed point the accelerated fit must find.  At the default
