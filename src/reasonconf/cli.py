@@ -158,18 +158,30 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
     for n in cfg.n_grid:
         for r in range(cfg.repeats):
             batch = sample_batch(oracle, n, derive_seed(cfg.seed, n, r))
-            for method in cfg.methods:
-                if method == "RPC":
-                    conf, report = rpc_confidence(batch)
-                    fits.append(report.fit)
-                else:
-                    conf = estimate(method, batch)
-                answer, value = selection_for_scoring(conf)
+            for method, answer, value, _ in _score(batch, cfg.methods, fits):
                 hit = 1.0 if answer == oracle.truth else 0.0
                 rows.append((method, n, r, hit, abs(value - hit)))
     _warn_capped(fits)
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     return rows
+
+
+def _score(batch: "SampleBatch", methods: Sequence[str], fits: list) -> List[tuple]:
+    """(method, selected answer, confidence, pruning report) per method.
+
+    Only RPC has a pruning report, else it is None; its fit is also
+    appended to ``fits``.
+    """
+    scored = []
+    for method in methods:
+        report = None
+        if method == "RPC":
+            conf, report = rpc_confidence(batch)
+            fits.append(report.fit)
+        else:
+            conf = estimate(method, batch)
+        scored.append((method, *selection_for_scoring(conf), report))
+    return scored
 
 
 def _warn_capped(fits: Sequence[Optional[MixtureFit]]):
@@ -322,14 +334,9 @@ def estimate_rows(
         if cfg.truths and pid in cfg.truths:
             wanted = cfg.truths[pid]
             truth = next((p.answer for p in batch.paths if p.answer.canonical == wanted), None)
-        for method in cfg.methods:
-            if method == "RPC":
-                conf, report = rpc_confidence(batch)
+        for method, answer, value, report in _score(batch, cfg.methods, fits):
+            if report is not None:
                 reports[pid] = _report_doc(report)
-                fits.append(report.fit)
-            else:
-                conf = estimate(method, batch)
-            answer, value = selection_for_scoring(conf)
             rows.append(
                 ResultRow(
                     problem_id=pid,

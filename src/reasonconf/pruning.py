@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, EmptyBatchError, FitDegenerateError
 
@@ -63,7 +62,7 @@ class WeibullParams:
 
     def log_mean(self) -> float:
         """log of the distribution mean scale * Gamma(1 + 1/shape)."""
-        return math.log(self.scale) + float(gammaln(1.0 + 1.0 / self.shape))
+        return math.log(self.scale) + math.lgamma(1.0 + 1.0 / self.shape)
 
     def mean(self) -> float:
         try:
@@ -134,7 +133,7 @@ def _moment_init(x: np.ndarray) -> WeibullParams:
         return WeibullParams(shape=1.0, scale=max(mean, 1e-12))
     cv = std / mean
     k = min(max(cv**-1.086, 0.05), 100.0)
-    lam = mean / math.exp(float(gammaln(1.0 + 1.0 / k)))
+    lam = mean / math.exp(math.lgamma(1.0 + 1.0 / k))
     return WeibullParams(shape=k, scale=lam)
 
 

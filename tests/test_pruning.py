@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 from scipy.stats import weibull_min
 
 from reasonconf import (
@@ -22,7 +23,7 @@ from reasonconf import (
     prune,
 )
 import reasonconf.pruning
-from reasonconf.pruning import WEIGHT_BOUNDS
+from reasonconf.pruning import SHAPE_MAX, SHAPE_MIN, WEIGHT_BOUNDS
 
 
 def bimodal_sample(seed: int, n: int = 128):
@@ -160,6 +161,12 @@ class TestWeibullPdf:
         ours = [density(float(x), single_weibull(k, lam)) for x in xs]
         ref = weibull_min.pdf(xs, c=k, scale=lam)
         np.testing.assert_allclose(ours, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [SHAPE_MIN, 0.05, 1.0, 100.0, SHAPE_MAX])
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_log_mean_agrees_with_scipy(self, k, lam):
+        ref = math.log(lam) + float(gammaln(1.0 + 1.0 / k))
+        assert WeibullParams(k, lam).log_mean() == pytest.approx(ref, rel=0, abs=1e-12)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,3 +124,56 @@ def test_no_module_reads_the_environment():
         if (names := _environment_reads(file.read_text(encoding="utf-8")))
     }
     assert not reads, f"reads the environment: {reads}"
+
+
+_ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "reasonconf"}
+
+
+def _third_party_imports(source):
+    """Top-level packages imported that are neither the stdlib, numpy nor ours."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - _ALLOWED_IMPORTS)
+
+
+def test_third_party_imports_are_detected():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, numpy as np, scipy.special\n"
+        "from . import errors\n"
+        "from reasonconf.errors import DomainError\n"
+        "from mpmath import loggamma\n"
+        "def f():\n"
+        "    import pandas\n"
+    )
+    assert _third_party_imports(source) == ["mpmath", "pandas", "scipy"]
+
+
+def test_the_runtime_imports_only_the_stdlib_and_numpy():
+    foreign = {
+        file.name: names
+        for file in sorted(PACKAGE.glob("*.py"))
+        if (names := _third_party_imports(file.read_text(encoding="utf-8")))
+    }
+    assert not foreign, f"imports outside the stdlib and numpy: {foreign}"
+
+
+def test_importing_the_package_loads_no_scipy():
+    # A fresh process: the test suite itself imports scipy as a reference.
+    code = (
+        "import sys, reasonconf, reasonconf.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT / "src",
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
