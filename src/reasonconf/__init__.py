@@ -8,7 +8,6 @@ checked by brute force.
 """
 
 from .errors import (
-    AssumptionError,
     ConfigError,
     DomainError,
     EmptyBatchError,
@@ -61,14 +60,9 @@ from .pruning import (
     prune,
 )
 from .error_analysis import (
-    DegenerationDiagnostic,
     ErrorBreakdown,
     MCErrorEstimate,
     RateFit,
-    degeneration_diagnostic,
-    empirical_prune_failure_rate,
-    hoeffding_bound,
-    model_error_comparison,
     monte_carlo_estimation_error,
     pc_closed_form,
     ppl_closed_form,

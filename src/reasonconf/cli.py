@@ -75,8 +75,10 @@ class RunConfig:
         """Validate and coerce a config document.
 
         A value of the wrong type or shape raises ConfigError, as does an
-        unknown key, a count below 1 or a truth that canonicalizes to an
-        empty answer.  ``truths`` values are stored canonicalized.
+        unknown key, a count below 1, an empty or repeating ``methods``, an
+        ``n_grid`` that is empty or not strictly increasing, or a truth that
+        canonicalizes to an empty answer.  ``truths`` values are stored
+        canonicalized.
         """
         try:
             return cls._coerce(doc)
@@ -94,11 +96,15 @@ class RunConfig:
         for m in methods:
             if m not in ESTIMATOR_KINDS:
                 raise ConfigError(f"unknown estimator kind {m!r}")
+        if not methods or len(set(methods)) < len(methods):
+            raise ConfigError("methods must be non-empty and hold no repeats")
         if merged["prob_mode"] not in ("joint", "length_normalized"):
             raise ConfigError(f"unknown prob_mode {merged['prob_mode']!r}")
         n_grid = tuple(_whole("n_grid", n) for n in merged["n_grid"])
         if any(n < 1 for n in n_grid):
             raise ConfigError("n_grid entries must be positive")
+        if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+            raise ConfigError("n_grid must be non-empty and strictly increasing")
         counts = {key: _whole(key, merged[key]) for key in ("repeats", "trials", "bins")}
         for key, value in counts.items():
             if value < 1:
@@ -151,7 +157,7 @@ def simulate_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
     """Sample, estimate, select, and score each (method, n, repeat) cell.
 
     All methods see the same batch for a given (n, repeat), so method
-    comparisons are paired.  Rows: (method, n, seed, accuracy, ece).
+    comparisons are paired.  Rows: (method, n, repeat, accuracy, ece).
     """
     rows = []
     fits = []
@@ -390,7 +396,7 @@ def _cmd_simulate(args) -> str:
     cfg = RunConfig.load(args.config, args.seed)
     oracle = load_oracle(args.oracle)
     rows = simulate_rows(oracle, cfg)
-    return render_csv(("method", "n", "seed", "accuracy", "ece"), rows)
+    return render_csv(("method", "n", "repeat", "accuracy", "ece"), rows)
 
 
 def _cmd_convergence(args) -> str:

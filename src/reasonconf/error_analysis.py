@@ -1,21 +1,23 @@
-"""Closed-form error decompositions and their empirical counterparts.
+"""Closed-form error decompositions, their Monte Carlo counterpart, rate fits.
 
-For each estimator the expected squared reasoning error splits into an
-estimation term (driven by the sampling budget) and a model term (the
-squared gap between the true confidence and correctness).  The closed forms
-here are paired with exact enumeration or Monte Carlo checks in the test
-suite; none of them is derived from the code it validates.
+For the SC, PPL and PC estimators the expected squared reasoning error
+splits into an estimation term (driven by the sampling budget) and a model
+term (the squared gap between the true confidence and correctness).  The
+closed forms here are paired with exact enumeration or Monte Carlo checks
+in the test suite; none of them is derived from the code it validates.
+``monte_carlo_estimation_error`` measures an estimator's error over seeded
+trials, and ``RateFit`` fits how that error decays in n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, EmptyInputError
+from .errors import DomainError
 from .oracle import (
     OracleSpec,
     TargetErrors,
@@ -23,9 +25,7 @@ from .oracle import (
     sample_count_matrix,
     target_paths,
 )
-from .paths import AnswerLabel, ScoredKey
-
-Regime = Literal["exponential", "linear"]
+from .paths import ScoredKey
 
 
 @dataclass(frozen=True)
@@ -97,135 +97,6 @@ def pc_closed_form(
 
 
 @dataclass(frozen=True)
-class DegenerationDiagnostic:
-    """Where the probability-sum decay rate sits for a given (p, n)."""
-
-    alpha_n: float
-    linear_approx: float
-    regime: Regime
-
-    @property
-    def ratio(self) -> float:
-        return self.alpha_n / self.linear_approx
-
-
-def degeneration_diagnostic(p: float, n: int) -> DegenerationDiagnostic:
-    """Compare the exponential factor (1-p)^n against 1/(1 + n p).
-
-    For vanishing p with n p << 1 the two agree and the decay is
-    effectively linear in n; the regime is reported as ``linear`` when the
-    ratio lies in [0.95, 1.05].  Evaluated at k = 1.
-    """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"p must lie in (0, 1), got {p}")
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    alpha_n = (1.0 - p) ** n
-    linear = 1.0 / (1.0 + n * p)
-    ratio = alpha_n / linear
-    regime: Regime = "linear" if 0.95 <= ratio <= 1.05 else "exponential"
-    return DegenerationDiagnostic(alpha_n=alpha_n, linear_approx=linear, regime=regime)
-
-
-def hoeffding_bound(k: int, k_hat: int, alpha: float, tau: float) -> float:
-    """Lower bound on the probability that pruning keeps the right answer.
-
-    Evaluates 1 - exp(-2 * k_hat * k^2 * (1 - tau / (1 - alpha))^2), which
-    lies in [0, 1) since the exponent is never positive.  The bound is
-    vacuous (returns 0) when the threshold tau exceeds the per-path mean
-    1 - alpha.
-    """
-    if k < 1 or k_hat < 1:
-        raise DomainError("k and k_hat must be positive integers")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if tau <= 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if tau > 1.0 - alpha:
-        return 0.0
-    exponent = -2.0 * k_hat * k * k * (1.0 - tau / (1.0 - alpha)) ** 2
-    return 1.0 - math.exp(exponent)
-
-
-def empirical_prune_failure_rate(
-    oracle: OracleSpec,
-    n: int,
-    trials: int,
-    seed: int,
-    tau: Optional[float] = None,
-) -> float:
-    """Fraction of trials where the correct answer's sampled paths average
-    below the pruning threshold.
-
-    A trial samples n paths; failure means either no sampled path carries
-    the correct answer, or the mean probability of those that do falls
-    below ``tau``.  ``tau`` defaults to the correct answer's full mass (the
-    idealized threshold), which is above the per-path mean whenever the
-    answer splits over several paths; informative comparisons pass an
-    explicit tau below 1 - alpha.
-    """
-    if trials < 100:
-        raise DomainError(f"need at least 100 trials, got {trials}")
-    indices, truth_mass, _ = target_paths(oracle, oracle.truth)
-    if tau is None:
-        tau = truth_mass
-    probs = np.asarray([oracle.path_probs[i] for i in indices])
-    counts = _kept_counts(probs, n, trials, seed)
-    k_hat = counts.sum(axis=1)
-    mass = (counts * probs).sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        mean_prob = np.where(k_hat > 0, mass / np.maximum(k_hat, 1), 0.0)
-    failures = (k_hat == 0) | (mean_prob < tau)
-    return float(np.mean(failures))
-
-
-def model_error_comparison(
-    path_probs: Sequence[float],
-    path_answers: Sequence[AnswerLabel],
-    truth: AnswerLabel,
-) -> Tuple[float, float]:
-    """Idealized model errors of the voting and path-probability estimators.
-
-    The instance lists every path with its probability; the assumption is
-    that incorrect paths all carry distinct answers.  The voting model
-    error sums (mass(answer) - I)^2 over answers, the path-probability
-    model error sums (p(path) - I)^2 over paths.  Merging several correct
-    paths into one answer is exactly what makes the first sum smaller, so
-    voting <= path-probability always, strictly when the correct answer has
-    two or more paths.
-    """
-    if len(path_probs) != len(path_answers):
-        raise AssumptionError("path_probs and path_answers lengths differ")
-    if len(path_probs) == 0:
-        raise EmptyInputError("instance has no paths")
-
-    wrong_counts: dict = {}
-    for answer in path_answers:
-        if answer != truth:
-            wrong_counts[answer] = wrong_counts.get(answer, 0) + 1
-    for answer, count in wrong_counts.items():
-        if count > 1:
-            raise AssumptionError(
-                f"incorrect answer {answer!r} maps to {count} paths; "
-                "the comparison assumes distinct answers for incorrect paths"
-            )
-
-    mass: dict = {}
-    for q, answer in zip(path_probs, path_answers):
-        mass[answer] = mass.get(answer, 0.0) + q
-
-    sc_err = math.fsum(
-        (m - (1.0 if answer == truth else 0.0)) ** 2 for answer, m in mass.items()
-    )
-    ppl_err = math.fsum(
-        (q - (1.0 if answer == truth else 0.0)) ** 2
-        for q, answer in zip(path_probs, path_answers)
-    )
-    assert sc_err <= ppl_err + 1e-12, "voting model error exceeded path-probability"
-    return sc_err, ppl_err
-
-
-@dataclass(frozen=True)
 class MCErrorEstimate(TargetErrors):
     """Monte Carlo counterpart of ``OutcomeEnumeration``.
 
@@ -234,7 +105,6 @@ class MCErrorEstimate(TargetErrors):
     """
 
     stderr: float
-    trials: int
 
 
 def monte_carlo_estimation_error(
@@ -274,7 +144,6 @@ def monte_carlo_estimation_error(
         estimation_error=float(np.mean(sq)),
         reasoning_error=float(np.mean((estimates - indicator(is_correct)) ** 2)),
         stderr=float(np.std(sq) / math.sqrt(trials)),
-        trials=trials,
     )
 
 

@@ -35,10 +35,6 @@ class DomainError(ReasonConfError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class AssumptionError(ReasonConfError):
-    """An input violates the structural assumption an analysis requires."""
-
-
 class EmptyInputError(ReasonConfError):
     """A metric was requested over an empty collection."""
 

@@ -18,13 +18,10 @@ from reasonconf import (
     budget_to_match,
     derive_seed,
     ece,
-    empirical_prune_failure_rate,
     estimate,
     exact_estimator_moments,
     fit_mixture,
-    hoeffding_bound,
     mixture_loglik,
-    model_error_comparison,
     monte_carlo_estimation_error,
     p_high,
     pc_closed_form,
@@ -40,7 +37,7 @@ from reasonconf import (
 )
 import reasonconf.pruning
 from reasonconf.pruning import MixtureFit, WeibullParams
-from reasonconf.cli import main
+from reasonconf.cli import RunConfig, decompose_rows, main
 
 from conftest import batch, label, oracle
 
@@ -203,38 +200,23 @@ def test_c03_convergence_rates():
 
 
 def test_c04_degeneration():
-    """Tiny answer mass: the exponential factor matches 1/(1+np) within 5%."""
-    from reasonconf import degeneration_diagnostic
+    """Tiny path mass: PPL's estimation term decays like 1/(1+np), not (1-p)^n.
 
+    The closed form's estimation term over its factor p(2 - p) leaves the
+    decay factor, which at p = 0.001 lies within 5% of 1/(1+np) for every
+    n up to 100, and at p = 0.5 is far below it.
+    """
     with criterion("C4 degeneration", budget_s=1.0):
-        for n in range(0, 101):
-            out = degeneration_diagnostic(0.001, n)
-            assert abs(out.ratio - 1.0) <= 0.05, (n, out)
-            assert out.regime == "linear"
-        at_hundred = degeneration_diagnostic(0.001, 100)
-        assert at_hundred.alpha_n == pytest.approx(0.904792, abs=1e-6)
-        assert at_hundred.linear_approx == pytest.approx(0.909091, abs=1e-6)
 
+        def decay_over_linear(p, n):
+            factor = ppl_closed_form(p, n, True).estimation_error / (p * (2.0 - p))
+            return factor * (1.0 + n * p)
 
-def test_c05_pruning_guarantee():
-    """Observed pruning failure rates stay under the exponential bound."""
-    with criterion("C5 pruning guarantee", budget_s=60.0):
-        spot = hoeffding_bound(2, 3, 0.7, 0.2)
-        assert abs(spot - (1.0 - math.exp(-8.0 / 3.0))) <= 1e-6
-
-        # (spec, n, tau, k, alpha); tau < 1 - alpha keeps the bound
-        # informative, and the bound is evaluated at k_hat = 1, its weakest
-        # nontrivial value.
-        cases = [
-            (oracle([0.3, 0.3, 0.4], ["A", "A", "B"], "A"), 8, 0.2, 2, 0.7),
-            (oracle([0.45, 0.15, 0.4], ["A", "A", "B"], "A"), 8, 0.2, 2, 0.7),
-            (oracle([0.5, 0.3, 0.2], ["A", "B", "C"], "A"), 6, 0.3, 1, 0.5),
-        ]
-        for spec, n, tau, k, alpha in cases:
-            rate = empirical_prune_failure_rate(spec, n, 1000, seed=31, tau=tau)
-            failure_bound = 1.0 - hoeffding_bound(k, 1, alpha, tau)
-            stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / 1000)
-            assert rate <= failure_bound + 3 * stderr, (tau, rate, failure_bound)
+        for n in range(1, 101):
+            assert abs(decay_over_linear(0.001, n) - 1.0) <= 0.05, n
+        # The worst case, 0.47% below 1: 0.999^100 * 1.1.
+        assert decay_over_linear(0.001, 100) == pytest.approx(0.995271, abs=1e-6)
+        assert decay_over_linear(0.5, 20) < 1e-4
 
 
 def test_c06_mixture_fit_recovery():
@@ -316,13 +298,18 @@ def test_c07_pruning_safety(monkeypatch):
 
 
 def test_c08_model_error_ordering():
-    """Vote model error never exceeds path-probability model error."""
+    """decompose's model error: SC's never exceeds PPL's."""
     with criterion("C8 model-error ordering", budget_s=5.0):
-        sc_err, ppl_err = model_error_comparison(
-            [0.3, 0.3], [label("A"), label("A")], label("A")
-        )
-        assert sc_err == pytest.approx(0.16, abs=1e-12)
-        assert ppl_err == pytest.approx(0.98, abs=1e-12)
+        cfg = RunConfig(methods=("SC", "PPL"), n_grid=(1,))
+
+        def model_errors(probs, answers, truth):
+            total = math.fsum(probs)
+            spec = oracle([q / total for q in probs], answers, truth)
+            return {row[0]: row[3] for row in decompose_rows(spec, cfg)}
+
+        spot = model_errors([0.3, 0.3, 0.4], ["A", "A", "B"], "A")
+        assert spot["SC"] == pytest.approx(0.16, abs=1e-12)
+        assert spot["PPL"] == pytest.approx(0.49, abs=1e-12)
 
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(41)))
         strict_cases = 0
@@ -330,13 +317,13 @@ def test_c08_model_error_ordering():
             n_correct = int(rng.integers(1, 5))
             n_wrong = int(rng.integers(0, 6))
             probs = list(rng.uniform(0.01, 0.9 / n_correct, n_correct))
-            answers = [label("y")] * n_correct
+            answers = ["y"] * n_correct
             probs += list(rng.uniform(0.01, 0.2, n_wrong))
-            answers += [label(f"w{i}") for i in range(n_wrong)]
-            sc_err, ppl_err = model_error_comparison(probs, answers, label("y"))
-            assert sc_err <= ppl_err + 1e-12
+            answers += [f"w{i}" for i in range(n_wrong)]
+            errors = model_errors(probs, answers, "y")
+            assert errors["SC"] <= errors["PPL"] + 1e-12, errors
             if n_correct >= 2:
-                assert sc_err < ppl_err
+                assert errors["SC"] < errors["PPL"], errors
                 strict_cases += 1
         assert strict_cases >= 20
 

@@ -84,7 +84,7 @@ class TestDeterminism:
             ],
         )
         assert a == b
-        assert a.startswith(b"method,n,seed,accuracy,ece\n")
+        assert a.startswith(b"method,n,repeat,accuracy,ece\n")
 
     def test_convergence(self, tmp_path, oracle_file, config_file):
         a, b = run_twice(
@@ -303,6 +303,11 @@ class TestErrorHandling:
             pytest.param("--oracle", {"path_probs": [10**400], "path_answers": ["A"], "truth": "A"}, id="--oracle-doc25"),
             pytest.param("--config", {"seed": "5"}, id="--config-doc38"),
             pytest.param("--config", {"seed": -1}, id="--config-doc39"),
+            pytest.param("--config", {"methods": []}, id="--config-doc40"),
+            pytest.param("--config", {"methods": ["SC", "SC"]}, id="--config-doc41"),
+            pytest.param("--config", {"n_grid": []}, id="--config-doc42"),
+            pytest.param("--config", {"n_grid": [4, 4]}, id="--config-doc43"),
+            pytest.param("--config", {"n_grid": [8, 4, 16, 32, 64]}, id="--config-doc44"),
         ],
     )
     def test_malformed_document_is_an_error_line(

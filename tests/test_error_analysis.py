@@ -1,4 +1,4 @@
-"""Closed-form error splits against enumeration, plus diagnostics and rates."""
+"""Closed-form error splits against enumeration, Monte Carlo error, rate fits."""
 
 import math
 
@@ -7,14 +7,9 @@ import pytest
 
 import reasonconf.error_analysis as error_analysis
 from reasonconf import (
-    AssumptionError,
     DomainError,
     RateFit,
-    degeneration_diagnostic,
-    empirical_prune_failure_rate,
     exact_estimator_moments,
-    hoeffding_bound,
-    model_error_comparison,
     monte_carlo_estimation_error,
     pc_closed_form,
     pc_confidence,
@@ -194,135 +189,6 @@ class TestProbSumClosedForm:
                 assert enum.reasoning_error == pytest.approx(total, abs=1e-12)
 
 
-class TestDegenerationDiagnostic:
-    def test_small_mass_long_budget_is_linear(self):
-        out = degeneration_diagnostic(0.001, 100)
-        assert out.alpha_n == pytest.approx(0.999**100, abs=1e-15)
-        assert out.alpha_n == pytest.approx(0.904792, abs=1e-6)
-        assert out.linear_approx == pytest.approx(1.0 / 1.1, abs=1e-12)
-        assert 0.95 <= out.ratio <= 1.05
-        assert out.regime == "linear"
-
-    def test_half_mass_is_exponential(self):
-        out = degeneration_diagnostic(0.5, 20)
-        assert out.alpha_n == pytest.approx(0.5**20, rel=1e-12)
-        assert out.ratio < 1e-4
-        assert out.regime == "exponential"
-
-    def test_zero_budget_boundary(self):
-        out = degeneration_diagnostic(0.3, 0)
-        assert out.alpha_n == 1.0
-        assert out.linear_approx == 1.0
-        assert out.regime == "linear"
-
-    def test_whole_small_p_range_within_five_percent(self):
-        for n in range(0, 101):
-            out = degeneration_diagnostic(0.001, n)
-            assert abs(out.ratio - 1.0) <= 0.05
-
-
-class TestHoeffdingBound:
-    def test_spot_value(self):
-        # 2 * 3 * 2^2 * (1 - 0.2/0.3)^2 = 8/3, so the bound is 1 - e^(-8/3)
-        # = 0.9305165...
-        value = hoeffding_bound(2, 3, 0.7, 0.2)
-        assert value == pytest.approx(1.0 - math.exp(-8.0 / 3.0), abs=1e-15)
-        assert value == pytest.approx(0.9305165, abs=1e-6)
-
-    def test_threshold_at_per_path_mean_is_vacuous(self):
-        assert hoeffding_bound(2, 3, 0.7, 0.3) == 0.0
-
-    def test_threshold_above_per_path_mean_returns_zero(self):
-        assert hoeffding_bound(2, 3, 0.7, 0.9) == 0.0
-
-    def test_many_samples_approach_one(self):
-        assert hoeffding_bound(2, 10_000, 0.7, 0.2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_monotone_in_k_hat(self):
-        values = [hoeffding_bound(2, kh, 0.7, 0.2) for kh in (1, 2, 4, 8)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            hoeffding_bound(0, 3, 0.7, 0.2)
-        with pytest.raises(DomainError):
-            hoeffding_bound(2, 3, 1.2, 0.2)
-        with pytest.raises(DomainError):
-            hoeffding_bound(2, 3, 0.7, 0.0)
-
-
-class TestEmpiricalPruneFailureRate:
-    def test_deterministic_oracle_never_fails(self):
-        spec = oracle([1.0], ["A"], "A")
-        assert empirical_prune_failure_rate(spec, 4, 500, seed=1) == 0.0
-
-    def test_too_few_trials_rejected(self):
-        spec = oracle([1.0], ["A"], "A")
-        with pytest.raises(DomainError):
-            empirical_prune_failure_rate(spec, 4, 0, seed=1)
-
-    def test_two_answer_oracle_within_bound(self):
-        # Correct answer mass 0.6 over two 0.3-paths; threshold below the
-        # per-path mean keeps the guarantee informative.  The weakest
-        # nontrivial bound (one matching sample) still dominates the
-        # observed rate.
-        spec = oracle([0.3, 0.3, 0.4], ["A", "A", "B"], "A")
-        rate = empirical_prune_failure_rate(spec, 8, 1000, seed=3, tau=0.2)
-        failure_bound = 1.0 - hoeffding_bound(2, 1, 0.7, 0.2)
-        stderr = math.sqrt(max(rate * (1 - rate), 1e-12) / 1000)
-        assert rate <= failure_bound + 3 * stderr
-
-    def test_default_threshold_is_truth_mass(self):
-        # tau defaults to the full answer mass 0.6, above the per-path mean
-        # 0.3, so every trial with a matching sample fails the comparison.
-        spec = oracle([0.3, 0.3, 0.4], ["A", "A", "B"], "A")
-        rate = empirical_prune_failure_rate(spec, 8, 400, seed=5)
-        assert rate == 1.0
-
-
-class TestModelErrorComparison:
-    def test_two_equal_correct_paths(self):
-        sc_err, ppl_err = model_error_comparison(
-            [0.3, 0.3], [label("A"), label("A")], label("A")
-        )
-        assert sc_err == pytest.approx(0.16, abs=1e-15)
-        assert ppl_err == pytest.approx(0.98, abs=1e-15)
-        assert sc_err < ppl_err
-
-    def test_single_correct_path_equality(self):
-        sc_err, ppl_err = model_error_comparison([0.3], [label("A")], label("A"))
-        assert sc_err == ppl_err == pytest.approx(0.49, abs=1e-15)
-
-    def test_all_incorrect_distinct_equality(self):
-        sc_err, ppl_err = model_error_comparison(
-            [0.3, 0.2], [label("B"), label("C")], label("A")
-        )
-        assert sc_err == ppl_err == pytest.approx(0.13, abs=1e-15)
-
-    def test_duplicate_incorrect_answer_rejected(self):
-        with pytest.raises(AssumptionError):
-            model_error_comparison(
-                [0.3, 0.2], [label("B"), label("B")], label("A")
-            )
-
-    def test_random_instances_ordering(self):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(17)))
-        strict_seen = 0
-        for _ in range(100):
-            n_correct = int(rng.integers(1, 5))
-            n_wrong = int(rng.integers(0, 6))
-            probs = list(rng.uniform(0.01, 0.9 / max(n_correct, 1), n_correct))
-            answers = [label("y")] * n_correct
-            probs += list(rng.uniform(0.01, 0.2, n_wrong))
-            answers += [label(f"w{i}") for i in range(n_wrong)]
-            sc_err, ppl_err = model_error_comparison(probs, answers, label("y"))
-            assert sc_err <= ppl_err + 1e-12
-            if n_correct >= 2:
-                assert sc_err < ppl_err
-                strict_seen += 1
-        assert strict_seen > 0
-
-
 class TestRateFit:
     def test_recovers_power_law(self):
         ns = [4, 8, 16, 32, 64]
@@ -395,17 +261,12 @@ class TestMonteCarloDrawsOnlyTheTargetsPaths:
         pc = monte_carlo_estimation_error(OVERFULL, "PC", label("A"), 4, 50_000, seed=3)
         enum = exact_estimator_moments(OVERFULL, 4, pc_confidence, label("A"))
         assert abs(pc.estimation_error - enum.estimation_error) <= 5 * pc.stderr
-        assert empirical_prune_failure_rate(OVERFULL, 4, 500, seed=1, tau=0.2) == 0.0
 
     @pytest.mark.parametrize("kind", ["SC", "PC"])
     def test_absent_target_has_zero_error(self, kind):
         mc = monte_carlo_estimation_error(INTERLEAVED, kind, label("Z"), 4, 1000, seed=5)
         assert (mc.true_prob, mc.estimation_error, mc.stderr) == (0.0, 0.0, 0.0)
         assert not mc.is_correct
-
-    def test_absent_truth_fails_every_prune_trial(self):
-        spec = oracle(INTERLEAVED.path_probs, ["B", "A", "C", "A", "D"], "Z")
-        assert empirical_prune_failure_rate(spec, 4, 500, seed=1) == 1.0
 
     def test_rest_last_is_the_full_draw_when_it_stands_for_one_path(self):
         spec = oracle([0.3, 0.3, 0.4], ["A", "A", "B"], "A")
@@ -426,7 +287,6 @@ class TestMonteCarloDrawsOnlyTheTargetsPaths:
         for kind in ("SC", "PC", "PPL"):
             target = INTERLEAVED.paths[3] if kind == "PPL" else label("A")
             monte_carlo_estimation_error(INTERLEAVED, kind, target, 4, 200, seed=1)
-        empirical_prune_failure_rate(INTERLEAVED, 4, 200, seed=1)
-        # SC: the target's mass and the rest; PC and prune: the truth's two
-        # paths and the rest; PPL: its one path and the rest.
-        assert widths == [2, 3, 2, 3]
+        # SC: the target's mass and the rest; PC: the truth's two paths and
+        # the rest; PPL: its one path and the rest.
+        assert widths == [2, 3, 2]

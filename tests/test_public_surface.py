@@ -84,6 +84,52 @@ def test_no_module_imports_a_name_it_never_reads():
     assert not unread, f"imported but never read: {unread}"
 
 
+def _unraised_exceptions(errors_source, sources):
+    """Classes ``errors_source`` defines that no ``raise`` in ``sources`` names."""
+    defined = {
+        node.name
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return sorted(defined - raised)
+
+
+def test_unraised_exceptions_are_detected():
+    errors = (
+        "class AError(Exception):\n    pass\n"
+        "class BError(AError):\n    pass\n"
+        "class CError(AError):\n    pass\n"
+        "class DError(AError):\n    pass\n"
+    )
+    user = (
+        "from . import errors\n"
+        "from .errors import BError, CError\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise BError('b') from None\n"
+        "    raise errors.DError\n"
+        "err = CError('built, never raised')\n"
+    )
+    assert _unraised_exceptions(errors, [user]) == ["AError", "CError"]
+
+
+def test_every_exception_class_is_raised():
+    unraised = _unraised_exceptions(
+        (PACKAGE / "errors.py").read_text(encoding="utf-8"),
+        [file.read_text(encoding="utf-8") for file in sorted(PACKAGE.glob("*.py"))],
+    )
+    assert not unraised, f"defined in errors.py but never raised: {unraised}"
+
+
 _ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
 
 
