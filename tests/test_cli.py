@@ -14,7 +14,13 @@ import pytest
 
 import reasonconf.oracle
 import reasonconf.pruning
-from reasonconf.cli import RunConfig, _report_doc, decompose_rows, main
+from reasonconf.cli import (
+    RunConfig,
+    _report_doc,
+    decompose_rows,
+    main,
+    simulate_rows,
+)
 from reasonconf import ConfigError, fit_mixture, load_jsonl, prune, unique_paths
 from reasonconf.oracle import oracle_from_json
 
@@ -186,6 +192,24 @@ class TestRunConfig:
             RunConfig.from_doc({"seed": -1})
         with pytest.raises(ConfigError, match=r"^malformed config: seed -7 is negative$"):
             RunConfig.load(None, seed_override=-7)
+
+    @pytest.mark.parametrize("methods", [[], ["PC", "SC", "PC"]])
+    def test_methods_must_be_nonempty_and_distinct(self, methods):
+        with pytest.raises(
+            ConfigError, match=r"^methods must be non-empty and hold no repeats$"
+        ):
+            RunConfig.from_doc({"methods": methods})
+
+    @pytest.mark.parametrize("n_grid", [[], [4, 4], [8, 4]])
+    def test_n_grid_must_be_nonempty_and_increasing(self, n_grid):
+        with pytest.raises(
+            ConfigError, match=r"^n_grid must be non-empty and strictly increasing$"
+        ):
+            RunConfig.from_doc({"n_grid": n_grid})
+
+    def test_single_entry_lists_are_accepted(self):
+        cfg = RunConfig.from_doc({"methods": ["RPC"], "n_grid": [1]})
+        assert (cfg.methods, cfg.n_grid) == (("RPC",), (1,))
 
 
 class TestErrorHandling:
@@ -565,6 +589,65 @@ class TestDecomposeFallback:
         for method, _, _, _, total, is_exact in rows:
             assert not is_exact
             assert abs(total - exact[method]) < bound, method
+
+
+class TestDecomposeModelError:
+    """decompose's model_error column is (p - I)^2 of each method's target."""
+
+    CFG = RunConfig(methods=("SC", "PPL", "PC", "RPC"), n_grid=(1, 2, 3))
+
+    def model_errors(self, doc):
+        by_method = {}
+        for method, _, _, model, _, _ in decompose_rows(oracle_from_json(doc), self.CFG):
+            by_method.setdefault(method, []).append(model)
+        return by_method
+
+    def test_constant_in_n_and_shared_by_the_answer_methods(self):
+        errors = self.model_errors(
+            {"path_probs": [0.3, 0.3, 0.4], "path_answers": ["A", "A", "B"], "truth": "A"}
+        )
+        for method, values in errors.items():
+            assert len(values) == 3 and len(set(values)) == 1, method
+        # SC, PC and RPC all target the truth's whole mass 0.6.
+        assert errors["SC"] == errors["PC"] == errors["RPC"]
+        assert errors["SC"][0] == pytest.approx(0.16, abs=1e-12)
+
+    def test_ppl_pays_for_splitting_the_truth_over_paths(self):
+        errors = self.model_errors(
+            {
+                "path_probs": [0.2, 0.2, 0.2, 0.4],
+                "path_answers": ["T", "T", "T", "B"],
+                "truth": "T",
+            }
+        )
+        assert errors["SC"][0] == pytest.approx(0.16, abs=1e-12)
+        assert errors["PPL"][0] == pytest.approx(0.64, abs=1e-12)
+
+    def test_single_correct_path_gives_equal_errors(self):
+        errors = self.model_errors(
+            {"path_probs": [0.3, 0.7], "path_answers": ["A", "B"], "truth": "A"}
+        )
+        assert errors["SC"][0] == errors["PPL"][0] == pytest.approx(0.49, abs=1e-12)
+
+    def test_absent_truth(self):
+        # SC scores the truth, at mass 0; PPL falls back to path 0, a wrong path.
+        errors = self.model_errors(
+            {"path_probs": [0.5, 0.3, 0.2], "path_answers": ["B", "C", "D"], "truth": "A"}
+        )
+        assert errors["SC"][0] == 1.0
+        assert errors["PPL"][0] == pytest.approx(0.25, abs=1e-12)
+
+
+class TestSimulateRows:
+    def test_repeat_column_is_the_repeat_index(self):
+        spec = oracle_from_json(
+            {"path_probs": [0.3, 0.3, 0.4], "path_answers": ["A", "A", "B"], "truth": "A"}
+        )
+        cfg = RunConfig(methods=("SC", "PPL"), n_grid=(2, 4), repeats=3)
+        rows = simulate_rows(spec, cfg)
+        assert [row[:3] for row in rows] == [
+            (method, n, r) for method in ("PPL", "SC") for n in (2, 4) for r in range(3)
+        ]
 
 
 class TestWarnings:

@@ -1,6 +1,7 @@
 """Closed-form error splits against enumeration, Monte Carlo error, rate fits."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import reasonconf.error_analysis as error_analysis
 from reasonconf import (
     DomainError,
+    MCErrorEstimate,
     RateFit,
     exact_estimator_moments,
     monte_carlo_estimation_error,
@@ -123,6 +125,37 @@ class TestPathProbClosedForm:
             enum = exact_estimator_moments(spec, n, ppl_confidence, spec.paths[1])
             out = ppl_closed_form(0.3, n, False)
             assert enum.reasoning_error == pytest.approx(out.total, abs=1e-12)
+
+
+class TestPathProbDecayFactor:
+    """PPL's estimation term over p(2I - p) is the decay factor (1 - p)^n."""
+
+    @staticmethod
+    def factor(p, n, correct=True):
+        ind = 1.0 if correct else 0.0
+        return ppl_closed_form(p, n, correct).estimation_error / (p * (2.0 * ind - p))
+
+    def test_small_mass_long_budget_is_near_linear(self):
+        factor = self.factor(0.001, 100)
+        assert factor == pytest.approx(0.999**100, rel=1e-12)
+        assert factor == pytest.approx(0.904792, abs=1e-6)
+        assert abs(factor * (1.0 + 100 * 0.001) - 1.0) <= 0.05
+
+    def test_half_mass_is_exponential(self):
+        factor = self.factor(0.5, 20)
+        assert factor == pytest.approx(0.5**20, rel=1e-12)
+        assert factor * (1.0 + 20 * 0.5) < 1e-4
+
+    @pytest.mark.parametrize("p", [0.001, 0.5])
+    def test_incorrect_path_shares_the_factor(self, p):
+        for n in range(1, 11):
+            assert self.factor(p, n, False) == pytest.approx(
+                self.factor(p, n, True), rel=1e-12
+            )
+
+    def test_factor_falls_strictly_in_n(self):
+        factors = [self.factor(0.01, n) for n in range(1, 51)]
+        assert all(0.0 < b < a < 1.0 for a, b in zip(factors, factors[1:]))
 
 
 class TestProbSumClosedForm:
@@ -290,3 +323,13 @@ class TestMonteCarloDrawsOnlyTheTargetsPaths:
         # SC: the target's mass and the rest; PC: the truth's two paths and
         # the rest; PPL: its one path and the rest.
         assert widths == [2, 3, 2]
+
+    def test_estimate_carries_no_trial_count(self):
+        # The caller passes ``trials`` in, so the result does not echo it.
+        assert [f.name for f in fields(MCErrorEstimate)] == [
+            "true_prob",
+            "is_correct",
+            "estimation_error",
+            "reasoning_error",
+            "stderr",
+        ]
