@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidSampleSizeError
 from .oracle import (
     OracleSpec,
     TargetErrors,
@@ -26,6 +26,8 @@ from .oracle import (
     target_paths,
 )
 from .paths import ScoredKey
+
+MC_KINDS = ("SC", "PPL", "PC")  # the estimators per-trial counts determine
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,10 @@ def monte_carlo_estimation_error(
     total mass against the rest, PC and PPL each target path (in index
     order) and then the rest.
     """
-    if kind not in ("SC", "PPL", "PC"):
+    if kind not in MC_KINDS:
         raise ValueError(f"no fast Monte Carlo route for estimator {kind!r}")
+    if trials < 1:
+        raise InvalidSampleSizeError(f"Monte Carlo needs trials >= 1, got {trials}")
     indices, true_p, is_correct = target_paths(oracle, target)
     if kind == "SC":
         estimates = _kept_counts([min(1.0, true_p)], n, trials, seed)[:, 0] / n

@@ -233,7 +233,7 @@ def exact_estimator_moments(
     an oracle path for PPL.
 
     Raises EnumerationTooLargeError when the M^n ordered outcomes the
-    count vectors stand for exceed 10^7.
+    count vectors stand for exceed 10^7, or n does.
     """
     if n < 1:
         raise InvalidSampleSizeError(f"enumeration needs n >= 1, got {n}")
@@ -244,6 +244,8 @@ def exact_estimator_moments(
         raise EnumerationTooLargeError(
             f"{m}^{n} ordered outcomes exceed the cap of {ENUMERATION_CAP}"
         )
+    if n > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(f"n={n} exceeds the cap of {ENUMERATION_CAP}")
 
     paths = oracle.paths
     _, true_prob, is_correct = target_paths(oracle, target)

@@ -73,11 +73,12 @@ class WeibullParams:
 
 @dataclass(frozen=True)
 class MixtureFit:
-    """A fitted two-component Weibull mixture.
+    """A two-component Weibull mixture, fitted or given.
 
     ``high_index`` designates the component with the larger distribution
-    mean (ties broken toward the larger scale); ``w1`` lies in
-    ``WEIGHT_BOUNDS`` and the weights sum to 1.
+    mean (ties broken toward the larger scale); a fit's ``w1`` lies in
+    ``WEIGHT_BOUNDS``.  Weights must lie in (0, 1) and sum to 1, and shapes
+    in [SHAPE_MIN, SHAPE_MAX], so every log-density at a finite ln x is finite.
     """
 
     comp1: WeibullParams
@@ -90,10 +91,13 @@ class MixtureFit:
     n_iter: int = 0
 
     def __post_init__(self):
-        if abs(self.w1 + self.w2 - 1.0) > 1e-9:
-            raise DomainError(f"weights {self.w1}, {self.w2} do not sum to 1")
+        w1, w2 = self.w1, self.w2
+        if not (0.0 < w1 < 1.0 and 0.0 < w2 < 1.0 and abs(w1 + w2 - 1.0) <= 1e-9):
+            raise DomainError(f"weights {w1}, {w2} must lie in (0, 1) and sum to 1")
         if self.high_index not in (1, 2):
             raise DomainError("high_index must be 1 or 2")
+        if not all(SHAPE_MIN <= c.shape <= SHAPE_MAX for c in (self.comp1, self.comp2)):
+            raise DomainError(f"component shapes must lie in [{SHAPE_MIN}, {SHAPE_MAX}]")
 
     @property
     def high(self) -> WeibullParams:
@@ -111,10 +115,18 @@ class PruningReport:
     mean_threshold: float
 
 
+def _log_data(probs) -> np.ndarray:
+    """ln x of mixture data, which must be positive and finite (DomainError)."""
+    x = np.asarray(probs, dtype=float)
+    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+        raise DomainError("mixture data must be positive and finite")
+    return np.log(x)
+
+
 def _log_joint(
     log_x: np.ndarray, w1: float, w2: float, comp1: WeibullParams, comp2: WeibullParams
 ):
-    """[log(w1 f1(x)), log(w2 f2(x))] for the Weibull densities f1, f2."""
+    """log(w1 f1(x)), log(w2 f2(x)) and their logaddexp, for Weibull densities f1, f2."""
     # log(w f(x)) = log w + log k - k log lam + (k-1) ln x - (x/lam)^k
     out = []
     for w, comp in ((w1, comp1), (w2, comp2)):
@@ -122,7 +134,7 @@ def _log_joint(
         z = np.exp(np.minimum(k * (log_x - log_lam), _EXP_CAP))
         const = math.log(w) + math.log(k) - k * log_lam
         out.append(const + (k - 1.0) * log_x - z)
-    return out
+    return out[0], out[1], np.logaddexp(*out)
 
 
 def _moment_init(x: np.ndarray) -> WeibullParams:
@@ -276,12 +288,10 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
     x = np.asarray(list(probs), dtype=float)
     if x.size < 4:
         raise FitDegenerateError(f"need at least 4 data points, got {x.size}")
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise DomainError("mixture data must be positive and finite")
+    log_x = _log_data(x)
     if np.unique(x).size < 2:
         raise FitDegenerateError("mixture data has no spread")
 
-    log_x = np.log(x)
     ws = _ShapeWorkspace(log_x)
     lo_w, hi_w = WEIGHT_BOUNDS
 
@@ -301,8 +311,7 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
     while n_maps < MAX_MAPS:
         n_maps += 1
         w1, comp1, comp2 = theta
-        l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
-        norm = np.logaddexp(l1, l2)
+        l1, _, norm = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
         new_loglik = float(norm.sum())
         if fallback is not None:
             if not (math.isfinite(new_loglik) and new_loglik >= loglik):
@@ -345,8 +354,7 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
             plain = []
 
     w1, comp1, comp2 = theta
-    l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
-    loglik = float(np.logaddexp(l1, l2).sum())
+    loglik = float(_log_joint(log_x, w1, 1.0 - w1, comp1, comp2)[2].sum())
 
     lm1, lm2 = comp1.log_mean(), comp2.log_mean()
     if lm1 > lm2:
@@ -369,35 +377,24 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
 
 
 def mixture_loglik(probs: Sequence[float], fit: MixtureFit) -> float:
-    """Log-likelihood of data under an already-specified mixture."""
-    log_x = np.log(np.asarray(list(probs), dtype=float))
-    l1, l2 = _log_joint(log_x, fit.w1, fit.w2, fit.comp1, fit.comp2)
-    return float(np.logaddexp(l1, l2).sum())
+    """Log-likelihood of data, each positive and finite, under a given mixture."""
+    log_x = _log_data(list(probs))
+    return float(_log_joint(log_x, fit.w1, fit.w2, fit.comp1, fit.comp2)[2].sum())
 
 
-def _p_high_arr(x: np.ndarray, fit: MixtureFit) -> np.ndarray:
-    l1, l2 = _log_joint(np.log(x), fit.w1, fit.w2, fit.comp1, fit.comp2)
-    l_high = l1 if fit.high_index == 1 else l2
-    shift = np.maximum(l1, l2)
-    with np.errstate(invalid="ignore"):
-        post = np.exp(l_high - shift) / (np.exp(l1 - shift) + np.exp(l2 - shift))
-    # Both densities underflowed: classify by position against the high mean.
-    dead = ~np.isfinite(post)
-    if np.any(dead):
-        post = np.where(dead, (x >= fit.high.mean()).astype(float), post)
-    return post
+def _p_high_arr(log_x: np.ndarray, fit: MixtureFit) -> np.ndarray:
+    """The E-step's responsibility of the high component at each ln x."""
+    l1, l2, norm = _log_joint(log_x, fit.w1, fit.w2, fit.comp1, fit.comp2)
+    return np.exp((l1 if fit.high_index == 1 else l2) - norm)
 
 
 def p_high(x: float, fit: MixtureFit) -> float:
-    """Posterior probability that x was generated by the high component.
+    """Posterior probability that x, positive and finite, came from the high component.
 
-    Evaluates w_h f_h(x) / (w1 f1(x) + w2 f2(x)); when the denominator
-    underflows to zero the value is 1 for x at or above the high
-    component's mean and 0 below it.
+    This is the E-step's responsibility w_h f_h(x) / (w1 f1(x) + w2 f2(x)),
+    taken in log space as exp(l_h - logaddexp(l1, l2)).
     """
-    if x <= 0:
-        raise DomainError(f"p_high requires x > 0, got {x}")
-    return float(_p_high_arr(np.asarray([x], dtype=float), fit)[0])
+    return float(_p_high_arr(_log_data([x]), fit)[0])
 
 
 def prune(probs: Sequence[float]) -> PruningReport:
@@ -419,11 +416,8 @@ def prune(probs: Sequence[float]) -> PruningReport:
     except FitDegenerateError:
         fit = None
 
-    if fit is not None:
-        posteriors = _p_high_arr(np.asarray(x, dtype=float), fit).tolist()
-        keep = [p >= mean or post >= 0.5 for p, post in zip(x, posteriors)]
-    else:
-        keep = [p >= mean for p in x]
+    posteriors = [0.0] * len(x) if fit is None else _p_high_arr(np.log(x), fit).tolist()
+    keep = [p >= mean or post >= 0.5 for p, post in zip(x, posteriors)]
 
     retained = tuple(i for i, k in enumerate(keep) if k)
     removed = tuple(i for i, k in enumerate(keep) if not k)

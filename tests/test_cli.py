@@ -332,6 +332,9 @@ class TestErrorHandling:
             pytest.param("--config", {"n_grid": []}, id="--config-doc42"),
             pytest.param("--config", {"n_grid": [4, 4]}, id="--config-doc43"),
             pytest.param("--config", {"n_grid": [8, 4, 16, 32, 64]}, id="--config-doc44"),
+            pytest.param("--config", {"prob_mode": "geometric"}, id="--config-doc45"),
+            pytest.param("--config", {"n_grid": [0, 4]}, id="--config-doc46"),
+            pytest.param("--config", {"n_grid": [-4]}, id="--config-doc47"),
         ],
     )
     def test_malformed_document_is_an_error_line(
@@ -438,6 +441,20 @@ class TestErrorHandling:
         doc = json.loads(capsys.readouterr().out)
         assert doc["accuracy"] == 0.5
         assert doc["bins"]["counts"][1] == doc["bins"]["counts"][6] == 1
+
+    def test_metrics_csv_has_one_row_per_bin(self, tmp_path, capsys):
+        results = tmp_path / "results.json"
+        results.write_text(
+            json.dumps(
+                [{"confidence": 0.7, "correct": True}, {"confidence": 0.2, "correct": False}]
+            )
+        )
+        assert main(["metrics", "--input", str(results), "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "bin_low,bin_high,count,mean_confidence,empirical_accuracy"
+        # Bins are right-closed, so 0.7 lands in (0.6, 0.7].
+        assert lines[7] == "0.6,0.7,1,0.7,1.0"
+        assert lines[11:] == ["# accuracy=0.5", "# ece=0.25"]
 
     def test_print_defaults(self, capsys):
         assert main(["config", "--print-defaults"]) == 0

@@ -1,10 +1,12 @@
 """Every narrative demo runs to completion and prints its pinned stdout.
 
 The expected bytes live in ``tests/golden/demo_<NN>.txt``, ``NN`` being
-the demo's two-digit prefix.
+the demo's two-digit prefix.  Every python block of ``README.md`` runs to
+completion too.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S
+)
 
 
 def test_demos_found():
@@ -32,3 +37,18 @@ def test_demo_exits_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert proc.stdout == (GOLDEN / f"demo_{demo.name[:2]}.txt").read_bytes()
+
+
+def test_readme_python_blocks_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "code", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))]
+)
+def test_readme_python_block_runs(code):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")

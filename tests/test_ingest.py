@@ -102,6 +102,16 @@ class TestLoadJsonl:
         batches = load_jsonl(write_jsonl(tmp_path, bad), "joint", strict=False)
         assert set(batches) == {"p1", "p2"}
 
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        lines = ["", json.dumps(GOOD[0]), "   ", json.dumps(GOOD[1]), "\t", json.dumps(GOOD[2])]
+        dest = tmp_path / "blanks.jsonl"
+        dest.write_text("\n".join(lines) + "\n\n")
+        assert load_jsonl(str(dest), "joint") == load_jsonl(write_jsonl(tmp_path, GOOD), "joint")
+        # Line numbers in messages still count the blank lines.
+        dest.write_text("\n".join(lines + ["", "{not json}"]) + "\n")
+        with pytest.raises(ReasonConfError, match="line 8: invalid JSON"):
+            load_jsonl(str(dest), "joint")
+
     def test_invalid_json_line_reported_with_number(self, tmp_path):
         dest = tmp_path / "broken.jsonl"
         dest.write_text(json.dumps(GOOD[0]) + "\n{not json}\n")

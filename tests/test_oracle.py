@@ -36,6 +36,20 @@ class TestOracleSpec:
         with pytest.raises(ReasonConfError):
             oracle([0.5, 0.5], ["A"], "A")
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"path_probs": [1.0], "path_answers": ["A"]}, "missing key 'truth'"),
+            ({"path_probs": [], "path_answers": [], "truth": "A"}, "at least one path"),
+            ({"path_probs": [1.5, -0.5], "path_answers": ["A", "B"], "truth": "A"}, r"1.5 outside \(0, 1\]"),
+            ({"path_probs": [0.0, 1.0], "path_answers": ["A", "B"], "truth": "A"}, r"0.0 outside \(0, 1\]"),
+        ],
+        ids=["missing-key", "no-paths", "above-one", "zero"],
+    )
+    def test_invalid_document_rejected(self, doc, message):
+        with pytest.raises(ReasonConfError, match=message):
+            oracle_from_json(doc)
+
     def test_json_round_trip(self):
         spec = oracle_from_json(
             {"path_probs": [0.6, 0.4], "path_answers": ["A", "B"], "truth": "A"}
@@ -175,18 +189,23 @@ class TestExactEstimatorMoments:
 
     @pytest.mark.parametrize(
         "probs,n,allowed",
-        [((0.3, 0.3, 0.4), 30_000_000, False), ((1.0,), 1_000_000, True)],
+        [
+            ((0.3, 0.3, 0.4), 30_000_000, False),
+            ((1.0,), 1_000_000, True),
+            ((1.0,), 10_000_001, False),
+        ],
     )
     def test_cap_check_and_weights_stay_cheap_for_huge_n(self, probs, n, allowed):
         # The cap check must not build 3^n, nor the weight n!: at these n
-        # either costs tens of seconds.
+        # either costs tens of seconds.  One path has one outcome, an
+        # n-tuple whose cost grows with n, so n itself is held to the cap.
         spec = oracle(probs, ["A"] * len(probs), "A")
         start = time.perf_counter()
         if allowed:
             enum = exact_estimator_moments(spec, n, sc_confidence, label("A"))
             assert enum.outcome_probs == (1.0,)
         else:
-            with pytest.raises(EnumerationTooLargeError):
+            with pytest.raises(EnumerationTooLargeError, match=rf"\b{n}\b"):
                 exact_estimator_moments(spec, n, sc_confidence, label("A"))
         assert time.perf_counter() - start < 5.0
 
@@ -410,6 +429,13 @@ class TestMonteCarloAgreesWithEnumeration:
         )
         pooled = math.hypot(slow_err, fast.stderr)
         assert abs(slow_mean - fast.estimation_error) < 5 * pooled
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        # No trial gives no mean to report.
+        spec = oracle([0.5, 0.25, 0.25], ["A", "A", "B"], "A")
+        with pytest.raises(InvalidSampleSizeError, match=f"got {trials}$"):
+            monte_carlo_estimation_error(spec, "SC", label("A"), 4, trials, seed=1)
 
 
 class TestDeriveSeed:

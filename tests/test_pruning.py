@@ -95,8 +95,7 @@ def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
     comp2 = _moment_init(x[order[x.size // 2 :]])
     w1, loglik, converged = 0.5, -math.inf, False
     for sweep in range(1, max_iter + 1):
-        l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
-        norm = np.logaddexp(l1, l2)
+        l1, _, norm = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
         new_loglik = float(norm.sum())
         r1 = np.exp(l1 - norm)
         r1_sum = float(r1.sum())
@@ -107,7 +106,6 @@ def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
             converged = True
             break
         loglik = new_loglik
-    l1, l2 = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
     high = 1 if comp1.log_mean() > comp2.log_mean() else 2
     return MixtureFit(
         comp1=comp1,
@@ -115,7 +113,7 @@ def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
         w1=w1,
         w2=1.0 - w1,
         high_index=high,
-        loglik=float(np.logaddexp(l1, l2).sum()),
+        loglik=float(_log_joint(log_x, w1, 1.0 - w1, comp1, comp2)[2].sum()),
         converged=converged,
         n_iter=sweep,
     )
@@ -364,14 +362,22 @@ class TestPHigh:
         with pytest.raises(DomainError):
             p_high(0.0, TRUE_BIMODAL)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, x):
+        # The E-step formula has no value at a non-finite x.
+        with pytest.raises(DomainError, match="positive and finite"):
+            p_high(x, TRUE_BIMODAL)
+
     def test_bounded_everywhere(self):
         values, _ = bimodal_sample(seed=3)
         fit = fit_mixture(values.tolist())
         for x in np.geomspace(1e-12, 1.0, 60):
             assert 0.0 <= p_high(float(x), fit) <= 1.0
 
-    def test_underflow_falls_back_to_mean_split(self):
-        # Far beyond both components' support the densities underflow.
+    def test_far_tail_posterior_is_exactly_one(self):
+        # Far beyond both components' support both densities underflow to 0,
+        # but their logs stay finite: -(1/0.01)^5 = -1e10 against -1e18, so
+        # the responsibility of component 1 is exp(0) = 1 with no fallback.
         fit = MixtureFit(
             comp1=WeibullParams(5.0, 0.01),
             comp2=WeibullParams(6.0, 0.001),
@@ -382,6 +388,45 @@ class TestPHigh:
             converged=True,
         )
         assert p_high(1.0, fit) == 1.0
+
+
+class TestRejections:
+    """Bad data and bad mixtures raise DomainError instead of giving nan."""
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.2, 0.0], [0.2, -0.1], [0.2, math.nan], [0.2, math.inf]],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_mixture_loglik_data(self, probs):
+        with pytest.raises(DomainError, match="positive and finite"):
+            mixture_loglik(probs, TRUE_BIMODAL)
+
+    @pytest.mark.parametrize(
+        "w1,w2", [(0.0, 1.0), (1.0, 0.0), (-0.5, 1.5), (1.5, -0.5), (math.nan, math.nan)]
+    )
+    def test_weights_outside_the_open_unit_interval(self, w1, w2):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\) and sum to 1"):
+            MixtureFit(TRUE_BIMODAL.comp1, TRUE_BIMODAL.comp2, w1, w2, 1, 0.0, True)
+
+    @pytest.mark.parametrize(
+        "shape", [SHAPE_MIN / 2, SHAPE_MAX * 1.01, 1e306], ids=["low", "high", "1e306"]
+    )
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_shapes_outside_the_clamp(self, shape, index):
+        comps = [TRUE_BIMODAL.comp1, TRUE_BIMODAL.comp2]
+        comps[index - 1] = WeibullParams(shape, 0.5)
+        with pytest.raises(DomainError, match="shapes must lie in"):
+            MixtureFit(*comps, 0.5, 0.5, 1, 0.0, True)
+
+    def test_clamp_edges_are_valid_mixtures(self):
+        fit = MixtureFit(
+            WeibullParams(SHAPE_MIN, 1e-300), WeibullParams(SHAPE_MAX, 1e300),
+            0.2, 0.8, 2, 0.0, True,
+        )
+        # With every log-density finite, the posterior is defined everywhere.
+        for x in (1e-300, 1e-5, 1.0, 1e300):
+            assert 0.0 <= p_high(x, fit) <= 1.0
 
 
 class TestPrune:
