@@ -354,20 +354,25 @@ def estimate_rows(
     return rows, reports
 
 
-def _report_doc(report: PruningReport) -> dict:
-    """A pruning report's JSON form; a fallback report has no ``fit`` key.
+def _fit_doc(fit: MixtureFit) -> dict:
+    """A fit's JSON form, the document ``asdict(fit)`` gives.
 
     Built from ``vars``, which is shallow.  ``asdict`` deep-copies every
     value one call at a time: on a Xeon core it took 12.4 us for a fit that
     ``vars`` reads in 1.3 us, and 113 us for a 128-path report.
     """
+    return {
+        key: dict(vars(value)) if isinstance(value, WeibullParams) else value
+        for key, value in vars(fit).items()
+    }
+
+
+def _report_doc(report: PruningReport) -> dict:
+    """A pruning report's JSON form; a fallback report has no ``fit`` key."""
     doc = dict(vars(report))
     fit = doc.pop("fit")
     if fit is not None:
-        doc["fit"] = {
-            key: dict(vars(value)) if isinstance(value, WeibullParams) else value
-            for key, value in vars(fit).items()
-        }
+        doc["fit"] = _fit_doc(fit)
     return doc
 
 
@@ -422,7 +427,7 @@ def _cmd_fit_mixture(args) -> str:
         probs = [float(p) for p in probs]
     except (TypeError, KeyError, OverflowError) as exc:
         raise ReasonConfError(f"malformed probs document: {exc}") from exc
-    doc = {"fit": asdict(fit_mixture(probs))}
+    doc = {"fit": _fit_doc(fit_mixture(probs))}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -84,14 +84,12 @@ def pc_closed_form(
     With alpha = 1 - p/k the estimation term is
     alpha^n * p * (2I - (1 + alpha^n) p), the same exponential shape as the
     path-probability estimator but paired with the voting estimator's model
-    term.  Requires p/k <= 1.
+    term.
     """
     _check_prob(p_answer)
     _check_n(n)
     if k < 1:
         raise DomainError(f"k must be a positive integer, got {k}")
-    if p_answer / k > 1.0:
-        raise DomainError(f"p/k = {p_answer / k} exceeds 1")
     ind = indicator(is_correct)
     alpha_n = (1.0 - p_answer / k) ** n
     est = alpha_n * p_answer * (2.0 * ind - (1.0 + alpha_n) * p_answer)

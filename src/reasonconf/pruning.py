@@ -3,7 +3,10 @@
 The batch's path probabilities are modeled as a mixture of a high and a low
 Weibull component, fitted by deterministic EM with the first weight held in
 ``WEIGHT_BOUNDS``, accelerated by SQUAREM and stopped by ``MAX_MAPS`` or
-``TOL``.  Paths are kept when their posterior of belonging to the high
+``TOL``.  The fit iterates on one vector theta = (w1, ln k1, ln lam1, ln k2,
+ln lam2); an extrapolated theta is clipped into the box ``_LOWER``..``_UPPER``,
+and ``WeibullParams`` and ``MixtureFit`` are built once, when the fit
+returns.  Paths are kept when their posterior of belonging to the high
 component reaches 0.5, or when they clear the batch mean (the truncated-mean
 guard, which also makes the retained set provably non-empty).
 """
@@ -30,7 +33,10 @@ MAX_MAPS = 200
 TOL = 1e-8
 
 _EXP_CAP = 700.0  # exp argument cap to keep log-densities finite
-_LOG_SHAPE_MIN, _LOG_SHAPE_MAX = math.log(SHAPE_MIN), math.log(SHAPE_MAX)
+# The box an extrapolated theta is clipped into: the weight clamp, the shape
+# clamp and, on ln lam, the exp cap.
+_LOWER = np.array([WEIGHT_BOUNDS[0]] + [math.log(SHAPE_MIN), -_EXP_CAP] * 2)
+_UPPER = np.array([WEIGHT_BOUNDS[1]] + [math.log(SHAPE_MAX), _EXP_CAP] * 2)
 
 # SQUAREM acceleration of the EM map (Varadhan & Roland 2008, "Simple and
 # globally convergent methods for accelerating the convergence of any EM
@@ -77,8 +83,10 @@ class MixtureFit:
 
     ``high_index`` designates the component with the larger distribution
     mean (ties broken toward the larger scale); a fit's ``w1`` lies in
-    ``WEIGHT_BOUNDS``.  Weights must lie in (0, 1) and sum to 1, and shapes
-    in [SHAPE_MIN, SHAPE_MAX], so every log-density at a finite ln x is finite.
+    ``WEIGHT_BOUNDS``.  Weights must lie in (0, 1) and sum to 1 within 1e-9,
+    and shapes in [SHAPE_MIN, SHAPE_MAX], so every log-density at a finite
+    ln x is finite.  The mixture is evaluated at w2 = 1 - w1; a fit sets
+    ``w2`` to exactly that.
     """
 
     comp1: WeibullParams
@@ -123,30 +131,32 @@ def _log_data(probs) -> np.ndarray:
     return np.log(x)
 
 
-def _log_joint(
-    log_x: np.ndarray, w1: float, w2: float, comp1: WeibullParams, comp2: WeibullParams
-):
-    """log(w1 f1(x)), log(w2 f2(x)) and their logaddexp, for Weibull densities f1, f2."""
-    # log(w f(x)) = log w + log k - k log lam + (k-1) ln x - (x/lam)^k
-    out = []
-    for w, comp in ((w1, comp1), (w2, comp2)):
-        k, log_lam = comp.shape, math.log(comp.scale)
-        z = np.exp(np.minimum(k * (log_x - log_lam), _EXP_CAP))
-        const = math.log(w) + math.log(k) - k * log_lam
-        out.append(const + (k - 1.0) * log_x - z)
-    return out[0], out[1], np.logaddexp(*out)
+def _log_joint(log_x: np.ndarray, theta: np.ndarray):
+    """Rows log(w_j f_j(x)), j = 1, 2, of the mixture at theta, and their logaddexp."""
+    # log(w f(x)) = u - exp(u) - ln x + log w + log k, u = k (ln x - ln lam),
+    # with exp's argument capped.
+    w1 = float(theta[0])
+    log_k, log_lam = theta[1::2, None], theta[2::2, None]
+    u = np.exp(log_k) * (log_x - log_lam)
+    log_wk = log_k + [[math.log(w1)], [math.log(1.0 - w1)]]
+    rows = u - np.exp(np.minimum(u, _EXP_CAP)) - log_x + log_wk
+    return rows, np.logaddexp(rows[0], rows[1])
 
 
-def _moment_init(x: np.ndarray) -> WeibullParams:
-    """Method-of-moments starting point (Justus shape approximation)."""
+def _theta(w1: float, comp1: WeibullParams, comp2: WeibullParams) -> np.ndarray:
+    """theta = (w1, ln k1, ln lam1, ln k2, ln lam2) of a mixture, with w2 = 1 - w1."""
+    return np.array([w1, *np.log([comp1.shape, comp1.scale, comp2.shape, comp2.scale])])
+
+
+def _moment_init(x: np.ndarray) -> Tuple[float, float]:
+    """Method-of-moments starting (ln k, ln lam) (Justus shape approximation)."""
     mean = float(np.mean(x))
     std = float(np.std(x))
     if std <= 0 or mean <= 0:
-        return WeibullParams(shape=1.0, scale=max(mean, 1e-12))
+        return 0.0, math.log(max(mean, 1e-12))
     cv = std / mean
     k = min(max(cv**-1.086, 0.05), 100.0)
-    lam = mean / math.exp(math.lgamma(1.0 + 1.0 / k))
-    return WeibullParams(shape=k, scale=lam)
+    return math.log(k), math.log(mean) - math.lgamma(1.0 + 1.0 / k)
 
 
 class _ShapeWorkspace:
@@ -174,16 +184,16 @@ class _ShapeWorkspace:
 
 def _weighted_mle(
     r: np.ndarray, r_sum: float, ws: _ShapeWorkspace, k_start: float
-) -> WeibullParams:
+) -> Tuple[float, float]:
     """Weighted Weibull MLE: shape from safeguarded root-finding, scale closed.
 
     The shape solves g(k) = S1/S0 - 1/k - mean_r(ln x) = 0, which is
     strictly increasing in k, so a Newton iteration safeguarded by a
     sign-change bracket converges to the unique root; data with no weighted
     spread push the root to a clamp.  Warm-started from the current shape,
-    the solve usually exits after one evaluation once EM has settled.  The
-    scale is then lam = (S0 / sum r)^(1/k), reusing the power sums from the
-    final shape evaluation.
+    the solve usually exits after one evaluation once EM has settled.
+    Returns (ln k, ln lam), with ln lam = shift + ln(S0 / sum r) / k
+    reusing the power sums from the final shape evaluation.
     """
     t = float(np.dot(r, ws.log_x)) / r_sum
     lo, hi = SHAPE_MIN, SHAPE_MAX
@@ -215,60 +225,40 @@ def _weighted_mle(
     if k != k_eval:
         s0 = ws.stats(k, r)[0]
     if s0 <= 0.0:
-        scale = math.exp(ws.shift)
-    else:
-        scale = math.exp(ws.shift + math.log(s0 / r_sum) / k)
-    return WeibullParams(shape=k, scale=scale)
+        return math.log(k), ws.shift
+    return math.log(k), ws.shift + math.log(s0 / r_sum) / k
 
 
 def _extrapolate(theta0, theta1, theta2, step_cap):
-    """SQUAREM (scheme S3) point from three successive EM iterates.
+    """SQUAREM (scheme S3) point from three successive EM iterates of theta.
 
-    Works on (w1, ln k1, ln lam1, ln k2, ln lam2): with r = t1 - t0 and
-    v = t2 - 2 t1 + t0 the step length is alpha = -|r| / |v|, held within
-    [-step_cap, -1], and the point is t0 - 2 alpha r + alpha^2 v.  Returns
-    the point and alpha; alpha = -1 gives t2 itself, returned as is.  The
-    weight is clamped to ``WEIGHT_BOUNDS``, the shape to [SHAPE_MIN,
-    SHAPE_MAX] and ln lam to the exp cap, so the point is always valid.
+    With r = t1 - t0 and v = t2 - 2 t1 + t0 the step length is
+    alpha = -|r| / |v|, held within [-step_cap, -1], and the point is
+    t0 - 2 alpha r + alpha^2 v, clipped into the box ``_LOWER``..``_UPPER``
+    so it is always valid.  Returns the point and alpha; alpha = -1 gives
+    t2 itself, returned as is.
     """
-    log = math.log
-    p0, p1, p2 = [
-        (w, log(c1.shape), log(c1.scale), log(c2.shape), log(c2.scale))
-        for w, c1, c2 in (theta0, theta1, theta2)
-    ]
-    r = [b - a for a, b in zip(p0, p1)]
-    v = [c - 2.0 * b + a for a, b, c in zip(p0, p1, p2)]
-    norm_v = math.hypot(*v)
+    r = theta1 - theta0
+    v = theta2 - 2.0 * theta1 + theta0
+    norm_v = math.hypot(*v.tolist())
     if not norm_v > 0.0:
         return theta2, -1.0
-    alpha = max(min(-math.hypot(*r) / norm_v, -1.0), -step_cap)
+    alpha = max(min(-math.hypot(*r.tolist()) / norm_v, -1.0), -step_cap)
     if alpha == -1.0:
         return theta2, alpha
-    w1, lk1, ll1, lk2, ll2 = [
-        a - 2.0 * alpha * d + alpha * alpha * e for a, d, e in zip(p0, r, v)
-    ]
-    lo_w, hi_w = WEIGHT_BOUNDS
-    point = (
-        min(max(w1, lo_w), hi_w),
-        WeibullParams(
-            math.exp(min(max(lk1, _LOG_SHAPE_MIN), _LOG_SHAPE_MAX)),
-            math.exp(min(max(ll1, -_EXP_CAP), _EXP_CAP)),
-        ),
-        WeibullParams(
-            math.exp(min(max(lk2, _LOG_SHAPE_MIN), _LOG_SHAPE_MAX)),
-            math.exp(min(max(ll2, -_EXP_CAP), _EXP_CAP)),
-        ),
-    )
-    return point, alpha
+    return (theta0 - 2.0 * alpha * r + alpha * alpha * v).clip(_LOWER, _UPPER), alpha
 
 
 def fit_mixture(probs: Sequence[float]) -> MixtureFit:
     """Bounded-weight maximum-likelihood fit of the two-Weibull mixture.
 
-    Deterministic EM: responsibilities in the E-step, per-component weighted
-    Weibull MLE in the M-step (shape from safeguarded root-finding, scale in
-    closed form), ``w1`` clamped to ``WEIGHT_BOUNDS``.  Starts from
-    a fixed median-split moment initialization.
+    Deterministic EM on theta = (w1, ln k1, ln lam1, ln k2, ln lam2):
+    responsibilities in the E-step, per-component weighted Weibull MLE in
+    the M-step (shape from safeguarded root-finding, scale in closed form),
+    ``w1`` clamped to ``WEIGHT_BOUNDS``.  Starts from a fixed median-split
+    moment initialization.  The returned components are exp of theta's
+    logs, and ``loglik`` is evaluated at the theta read back from them, as
+    ``mixture_loglik`` evaluates it.
 
     The EM map F is accelerated by SQUAREM, scheme S3.  After the first
     ``_PLAIN_MAPS`` plain maps, each cycle takes two plain maps t1 = F(t0)
@@ -297,7 +287,7 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
 
     order = np.argsort(x, kind="stable")
     half = x.size // 2
-    theta = (0.5, _moment_init(x[order[:half]]), _moment_init(x[order[half:]]))
+    theta = np.array([0.5, *_moment_init(x[order[:half]]), *_moment_init(x[order[half:]])])
     # The plain iterates of the current cycle; while theta is an
     # extrapolated point, the t2 to fall back to and the step length.
     plain = [theta]
@@ -310,8 +300,7 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
     n_maps = 0
     while n_maps < MAX_MAPS:
         n_maps += 1
-        w1, comp1, comp2 = theta
-        l1, _, norm = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
+        rows, norm = _log_joint(log_x, theta)
         new_loglik = float(norm.sum())
         if fallback is not None:
             if not (math.isfinite(new_loglik) and new_loglik >= loglik):
@@ -323,18 +312,16 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
             if alpha == -step_cap:
                 step_cap *= 4.0
 
-        r1 = np.exp(l1 - norm)
+        r1 = np.exp(rows[0] - norm)
         r1_sum = float(r1.sum())
-        r2 = 1.0 - r1
-
         r2_sum = x.size - r1_sum
-        w1 = min(max(r1_sum / x.size, lo_w), hi_w)
-
+        mapped = theta.tolist()
+        mapped[0] = min(max(r1_sum / x.size, lo_w), hi_w)
         if r1_sum > 1e-12:
-            comp1 = _weighted_mle(r1, r1_sum, ws, comp1.shape)
+            mapped[1:3] = _weighted_mle(r1, r1_sum, ws, math.exp(mapped[1]))
         if r2_sum > 1e-12:
-            comp2 = _weighted_mle(r2, r2_sum, ws, comp2.shape)
-        theta = (w1, comp1, comp2)
+            mapped[3:] = _weighted_mle(1.0 - r1, r2_sum, ws, math.exp(mapped[3]))
+        theta = np.array(mapped)
 
         if abs(new_loglik - loglik) < TOL:
             converged = True
@@ -353,24 +340,18 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
                 step_cap *= 4.0
             plain = []
 
-    w1, comp1, comp2 = theta
-    loglik = float(_log_joint(log_x, w1, 1.0 - w1, comp1, comp2)[2].sum())
-
-    lm1, lm2 = comp1.log_mean(), comp2.log_mean()
-    if lm1 > lm2:
-        high = 1
-    elif lm2 > lm1:
-        high = 2
-    else:
-        high = 1 if comp1.scale >= comp2.scale else 2
-
+    w1 = float(theta[0])
+    k1, lam1, k2, lam2 = map(math.exp, theta[1:].tolist())
+    comp1, comp2 = WeibullParams(k1, lam1), WeibullParams(k2, lam2)
+    # The larger mean is high; a tie goes to the larger scale.
+    high = 1 if (comp1.log_mean(), comp1.scale) >= (comp2.log_mean(), comp2.scale) else 2
     return MixtureFit(
         comp1=comp1,
         comp2=comp2,
         w1=w1,
         w2=1.0 - w1,
         high_index=high,
-        loglik=loglik,
+        loglik=float(_log_joint(log_x, _theta(w1, comp1, comp2))[1].sum()),
         converged=converged,
         n_iter=n_maps,
     )
@@ -378,14 +359,14 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
 
 def mixture_loglik(probs: Sequence[float], fit: MixtureFit) -> float:
     """Log-likelihood of data, each positive and finite, under a given mixture."""
-    log_x = _log_data(list(probs))
-    return float(_log_joint(log_x, fit.w1, fit.w2, fit.comp1, fit.comp2)[2].sum())
+    theta = _theta(fit.w1, fit.comp1, fit.comp2)
+    return float(_log_joint(_log_data(list(probs)), theta)[1].sum())
 
 
 def _p_high_arr(log_x: np.ndarray, fit: MixtureFit) -> np.ndarray:
     """The E-step's responsibility of the high component at each ln x."""
-    l1, l2, norm = _log_joint(log_x, fit.w1, fit.w2, fit.comp1, fit.comp2)
-    return np.exp((l1 if fit.high_index == 1 else l2) - norm)
+    rows, norm = _log_joint(log_x, _theta(fit.w1, fit.comp1, fit.comp2))
+    return np.exp(rows[fit.high_index - 1] - norm)
 
 
 def p_high(x: float, fit: MixtureFit) -> float:

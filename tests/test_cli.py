@@ -532,6 +532,19 @@ class TestEstimateOutputs:
             expected, sort_keys=True
         )
 
+    def test_fit_mixture_prints_the_fit_the_report_holds(self, tmp_path, capsys):
+        # One serializer: fit-mixture's document is asdict of the fit, and
+        # the same fit in a pruning report is the same JSON text.
+        probs = [0.9, 0.85, 0.8, 0.3, 0.05, 0.04, 0.03, 0.02]
+        dest = tmp_path / "probs.json"
+        dest.write_text(json.dumps({"probs": probs}))
+        assert main(["fit-mixture", "--input", str(dest)]) == 0
+        expected = {"fit": asdict(fit_mixture(probs))}
+        printed = capsys.readouterr().out
+        assert printed == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        report_fit = {"fit": _report_doc(prune(probs))["fit"]}
+        assert json.dumps(report_fit, indent=2, sort_keys=True) + "\n" == printed
+
     def test_one_row_per_problem_method(self, tmp_path, jsonl_file, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"methods": ["SC", "PC"]}))

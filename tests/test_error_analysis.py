@@ -88,6 +88,15 @@ class TestVoteClosedForm:
             errors = [sc_closed_form(p, n, True).estimation_error for n in range(1, 30)]
             assert all(b < a for a, b in zip(errors, errors[1:]))
 
+    @pytest.mark.parametrize(
+        "p,n,message",
+        [(1.5, 4, r"probability must lie in \[0, 1\]"), (0.5, 0, "n must be a positive")],
+        ids=["p-above-one", "n-zero"],
+    )
+    def test_out_of_domain_rejected(self, p, n, message):
+        with pytest.raises(DomainError, match=message):
+            sc_closed_form(p, n, True)
+
 
 class TestPathProbClosedForm:
     def test_half_probability_two_samples(self):
@@ -173,7 +182,7 @@ class TestProbSumClosedForm:
         assert out.estimation_error == 0.0
         assert out.model_error == 1.0
 
-    def test_mass_exceeding_path_count_rejected(self):
+    def test_zero_path_count_rejected(self):
         with pytest.raises(DomainError):
             pc_closed_form(1.0, 0, 3, True)
 
@@ -250,6 +259,15 @@ class TestRateFit:
         with pytest.raises(ValueError):
             RateFit.fit([4, 4, 8, 16], [1, 1, 1, 1], "loglog")
 
+    @pytest.mark.parametrize(
+        "errors,transform,message",
+        [([1.0] * 4, "linear", "unknown transform"), ([1.0] * 3, "loglog", "lengths differ")],
+        ids=["unknown-transform", "length-mismatch"],
+    )
+    def test_malformed_arguments_rejected(self, errors, transform, message):
+        with pytest.raises(ValueError, match=message):
+            RateFit.fit([4, 8, 16, 32], errors, transform)
+
     def test_vote_monte_carlo_slope(self):
         spec = oracle([0.5, 0.5], ["A", "B"], "A")
         ns = [4, 8, 16, 32, 64]
@@ -294,6 +312,11 @@ class TestMonteCarloDrawsOnlyTheTargetsPaths:
         pc = monte_carlo_estimation_error(OVERFULL, "PC", label("A"), 4, 50_000, seed=3)
         enum = exact_estimator_moments(OVERFULL, 4, pc_confidence, label("A"))
         assert abs(pc.estimation_error - enum.estimation_error) <= 5 * pc.stderr
+
+    def test_rpc_has_no_monte_carlo_route(self):
+        # RPC's pruning reads the whole batch, so it has no per-target draw.
+        with pytest.raises(ValueError, match="no fast Monte Carlo route"):
+            monte_carlo_estimation_error(INTERLEAVED, "RPC", label("A"), 4, 1000, seed=5)
 
     @pytest.mark.parametrize("kind", ["SC", "PC"])
     def test_absent_target_has_zero_error(self, kind):

@@ -130,6 +130,10 @@ class TestReliabilityBins:
         assert 0.0 <= value <= 1.0
         assert abs(rb.ece() - value) <= 1e-12
 
+    def test_zero_bins_rejected(self):
+        with pytest.raises(DomainError, match="at least 1 bin"):
+            reliability_bins([(0.5, True)], bins=0)
+
     def test_zero_when_every_bin_calibrated(self):
         scored = []
         for conf, n_true, n_total in [(0.25, 1, 4), (0.75, 3, 4)]:
@@ -171,6 +175,22 @@ class TestBudgetCurve:
                 ),
                 repeats=2,
             )
+
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda: BudgetCurve(method="M", points=(), repeats=0), DomainError),
+            (lambda: budget_curve("M", [(8, [0.5]), (16, [])]), EmptyInputError),
+            (
+                lambda: budget_to_match(BudgetCurve(method="M", points=(), repeats=1), 0.5),
+                EmptyInputError,
+            ),
+        ],
+        ids=["zero-repeats", "no-accuracies-at-an-n", "curve-without-points"],
+    )
+    def test_degenerate_input_rejected(self, build, error):
+        with pytest.raises(error):
+            build()
 
     def test_mean_and_std_aggregation(self):
         curve = budget_curve("M", [(4, [0.0, 1.0])])

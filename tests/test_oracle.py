@@ -20,6 +20,7 @@ from reasonconf import (
     ppl_confidence,
     rpc_confidence,
     sample_batch,
+    sample_count_matrix,
     sc_confidence,
 )
 from reasonconf.oracle import target_paths
@@ -126,6 +127,20 @@ class TestSampleBatch:
         spec = oracle([1.0], ["A"], "A")
         with pytest.raises(InvalidSampleSizeError):
             sample_batch(spec, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda n: sample_count_matrix([0.5, 0.5], n, trials=10, seed=1),
+            lambda n: exact_estimator_moments(
+                oracle([0.5, 0.5], ["A", "B"], "A"), n, sc_confidence, label("A")
+            ),
+        ],
+        ids=["sample_count_matrix", "exact_estimator_moments"],
+    )
+    def test_zero_sample_size_rejected_by_count_routes(self, draw):
+        with pytest.raises(InvalidSampleSizeError, match="got 0$"):
+            draw(0)
 
     def test_paths_carry_exact_probs(self):
         spec = oracle([0.6, 0.3, 0.1], ["A", "A", "B"], "A")

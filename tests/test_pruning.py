@@ -23,7 +23,7 @@ from reasonconf import (
     prune,
 )
 import reasonconf.pruning
-from reasonconf.pruning import SHAPE_MAX, SHAPE_MIN, WEIGHT_BOUNDS
+from reasonconf.pruning import SHAPE_MAX, SHAPE_MIN, WEIGHT_BOUNDS, _extrapolate
 
 
 def bimodal_sample(seed: int, n: int = 128):
@@ -84,6 +84,7 @@ def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
         _log_joint,
         _moment_init,
         _ShapeWorkspace,
+        _theta,
         _weighted_mle,
     )
 
@@ -91,21 +92,28 @@ def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
     log_x = np.log(x)
     ws = _ShapeWorkspace(log_x)
     order = np.argsort(x, kind="stable")
-    comp1 = _moment_init(x[order[: x.size // 2]])
-    comp2 = _moment_init(x[order[x.size // 2 :]])
-    w1, loglik, converged = 0.5, -math.inf, False
+    theta = np.array(
+        [0.5, *_moment_init(x[order[: x.size // 2]]), *_moment_init(x[order[x.size // 2 :]])]
+    )
+    loglik, converged = -math.inf, False
     for sweep in range(1, max_iter + 1):
-        l1, _, norm = _log_joint(log_x, w1, 1.0 - w1, comp1, comp2)
+        rows, norm = _log_joint(log_x, theta)
         new_loglik = float(norm.sum())
-        r1 = np.exp(l1 - norm)
+        r1 = np.exp(rows[0] - norm)
         r1_sum = float(r1.sum())
-        w1 = min(max(r1_sum / x.size, 0.2), 0.8)
-        comp1 = _weighted_mle(r1, r1_sum, ws, comp1.shape)
-        comp2 = _weighted_mle(1.0 - r1, x.size - r1_sum, ws, comp2.shape)
+        theta = np.array(
+            [
+                min(max(r1_sum / x.size, 0.2), 0.8),
+                *_weighted_mle(r1, r1_sum, ws, math.exp(theta[1])),
+                *_weighted_mle(1.0 - r1, x.size - r1_sum, ws, math.exp(theta[3])),
+            ]
+        )
         if abs(new_loglik - loglik) < tol:
             converged = True
             break
         loglik = new_loglik
+    w1 = float(theta[0])
+    comp1, comp2 = (WeibullParams(*map(math.exp, theta[i : i + 2].tolist())) for i in (1, 3))
     high = 1 if comp1.log_mean() > comp2.log_mean() else 2
     return MixtureFit(
         comp1=comp1,
@@ -113,7 +121,7 @@ def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
         w1=w1,
         w2=1.0 - w1,
         high_index=high,
-        loglik=float(_log_joint(log_x, w1, 1.0 - w1, comp1, comp2)[2].sum()),
+        loglik=float(_log_joint(log_x, _theta(w1, comp1, comp2))[1].sum()),
         converged=converged,
         n_iter=sweep,
     )
@@ -165,6 +173,12 @@ class TestWeibullPdf:
     def test_log_mean_agrees_with_scipy(self, k, lam):
         ref = math.log(lam) + float(gammaln(1.0 + 1.0 / k))
         assert WeibullParams(k, lam).log_mean() == pytest.approx(ref, rel=0, abs=1e-12)
+
+    def test_mean_past_the_float_range_is_inf(self):
+        # Gamma(1 + 1/SHAPE_MIN) = 1000! overflows a float; its log does not.
+        params = WeibullParams(SHAPE_MIN, 1.0)
+        assert math.isfinite(params.log_mean())
+        assert params.mean() == math.inf
 
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
@@ -252,7 +266,13 @@ class TestFitMixture:
             r = rng.random(values.size)
             cases.append((r, float(r.sum()), k_start))
         first = [_weighted_mle(r, r_sum, ws, k) for r, r_sum, k in cases]
-        assert all(type(params) is WeibullParams for params in first)
+        # (ln k, ln lam), with the shape inside the clamp.
+        assert all(
+            len(params) == 2
+            and all(type(v) is float for v in params)
+            and SHAPE_MIN <= math.exp(params[0]) <= SHAPE_MAX
+            for params in first
+        )
         kept = [r.copy() for r, _, _ in cases]
         fresh = _ShapeWorkspace(np.log(values))
         again = [_weighted_mle(r, r_sum, fresh, k) for r, r_sum, k in reversed(cases)]
@@ -332,6 +352,48 @@ class TestFitMixture:
         assert values.max() > 1.0
         fit = fit_mixture(values.tolist())
         assert fit.loglik > -np.inf
+
+
+class TestExtrapolate:
+    """The SQUAREM point from three successive EM iterates of theta."""
+
+    # Dyadic entries keep r = t1 - t0 and v = t2 - 2 t1 + t0 exact.
+    T0 = np.array([0.5, 0.25, -1.0, 0.75, -3.0])
+    D = np.array([0.015625, 0.125, -0.25, 0.0, 0.5])
+
+    @staticmethod
+    def iterates(t0, r, v):
+        """t0, t1, t2 with t1 - t0 = r and t2 - 2 t1 + t0 = v."""
+        t1 = t0 + r
+        return t0, t1, t1 + r + v
+
+    def test_zero_curvature_gives_t2(self):
+        t0, t1, t2 = self.iterates(self.T0, self.D, np.zeros(5))
+        point, alpha = _extrapolate(t0, t1, t2, 4.0)
+        assert point is t2 and alpha == -1.0
+
+    def test_short_step_gives_t2_itself(self):
+        v = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+        assert math.hypot(*self.D) < 1.0
+        t0, t1, t2 = self.iterates(self.T0, self.D, v)
+        point, alpha = _extrapolate(t0, t1, t2, 4.0)
+        assert point is t2 and alpha == -1.0
+
+    def test_step_held_at_the_cap(self):
+        v = np.array([0.0, 0.0, 0.0, 2.0**-20, 0.0])
+        point, alpha = _extrapolate(*self.iterates(self.T0, self.D, v), 4.0)
+        assert alpha == -4.0
+        assert point.tolist() == (self.T0 + 8.0 * self.D + 16.0 * v).tolist()
+
+    def test_point_clipped_into_the_box(self):
+        r = np.array([1.0, 10.0, 500.0, -10.0, -500.0])
+        v = np.array([2.0**-20, 0.0, 0.0, 0.0, 0.0])
+        point, alpha = _extrapolate(*self.iterates(self.T0, r, v), 4.0)
+        assert alpha == -4.0
+        w1, log_k1, log_lam1, log_k2, log_lam2 = point.tolist()
+        assert w1 == WEIGHT_BOUNDS[1]
+        assert SHAPE_MIN <= math.exp(log_k2) < math.exp(log_k1) <= SHAPE_MAX
+        assert (log_lam1, log_lam2) == (700.0, -700.0)
 
 
 class TestPHigh:
