@@ -13,7 +13,7 @@ import json
 import logging
 import sys
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_args
 
 from .errors import (
     ConfigError,
@@ -49,7 +49,7 @@ from .oracle import (
     sample_batch,
     target_paths,
 )
-from .paths import ScoredKey, canonicalize_answer
+from .paths import ProbMode, ScoredKey, canonicalize_answer
 from .pruning import MixtureFit, PruningReport, WeibullParams, fit_mixture
 
 logger = logging.getLogger("reasonconf")
@@ -60,7 +60,7 @@ class RunConfig:
 
     seed: int = 0
     methods: Tuple[str, ...] = ("SC", "PPL", "PC", "RPC")
-    prob_mode: str = "length_normalized"
+    prob_mode: ProbMode = "length_normalized"
     n_grid: Tuple[int, ...] = (64, 128)
     repeats: int = 10
     trials: int = 100000
@@ -99,7 +99,7 @@ class RunConfig:
                 raise ConfigError(f"unknown estimator kind {m!r}")
         if not methods or len(set(methods)) < len(methods):
             raise ConfigError("methods must be non-empty and hold no repeats")
-        if merged["prob_mode"] not in ("joint", "length_normalized"):
+        if merged["prob_mode"] not in get_args(ProbMode):
             raise ConfigError(f"unknown prob_mode {merged['prob_mode']!r}")
         n_grid = tuple(_whole("n_grid", n) for n in merged["n_grid"])
         if any(n < 1 for n in n_grid):
@@ -192,7 +192,8 @@ def _score(batch: "SampleBatch", methods: Sequence[str], fits: list) -> List[tup
 
 
 def _warn_capped(fits: Sequence[Optional[MixtureFit]]):
-    """Log how many of the mixture fits stopped at the EM map cap unconverged.
+    """Log how many mixture fits stopped at the EM map cap unconverged, and
+    how many RPC batches fell back to the mean rule.
 
     ``None`` stands for a batch too small or flat to fit; it is no fit.
     """
@@ -200,6 +201,9 @@ def _warn_capped(fits: Sequence[Optional[MixtureFit]]):
     capped = sum(1 for fit in done if not fit.converged)
     if capped:
         logger.warning("%d of %d mixture fits stopped at the EM map cap", capped, len(done))
+    fell_back = len(fits) - len(done)
+    if fell_back:
+        logger.warning("%d of %d RPC batches fell back to the mean rule", fell_back, len(fits))
 
 
 def _convergence_target(oracle: OracleSpec, method: str) -> ScoredKey:
@@ -223,6 +227,19 @@ def _closed_form_estimation(
     return pc_closed_form(p, k, n, correct).estimation_error
 
 
+def _mc_cell(
+    oracle: OracleSpec, method: str, target: ScoredKey, n: int, cfg: RunConfig, *salt: int
+) -> MCErrorEstimate:
+    """The Monte Carlo estimate of one (method, n) cell, seeded per cell.
+
+    The seed mixes the run seed, the method's place in ``ESTIMATOR_KINDS``,
+    n and ``salt``, so ``decompose`` (salt 1) and ``convergence`` (none)
+    draw independent streams.
+    """
+    seed = derive_seed(cfg.seed, ESTIMATOR_KINDS.index(method) + 1, n, *salt)
+    return monte_carlo_estimation_error(oracle, method, target, n, cfg.trials, seed)
+
+
 def convergence_rows(
     oracle: OracleSpec, cfg: RunConfig
 ) -> Tuple[List[tuple], List[str]]:
@@ -239,14 +256,7 @@ def convergence_rows(
         target = _convergence_target(oracle, method)
         mc_errors = []
         for n in cfg.n_grid:
-            mc = monte_carlo_estimation_error(
-                oracle,
-                method,
-                target,
-                n,
-                cfg.trials,
-                derive_seed(cfg.seed, ESTIMATOR_KINDS.index(method) + 1, n),
-            )
+            mc = _mc_cell(oracle, method, target, n, cfg)
             mc_errors.append(mc.estimation_error)
             closed = _closed_form_estimation(oracle, method, n, mc)
             rows.append((method, n, mc.estimation_error, closed))
@@ -304,14 +314,7 @@ def decompose_rows(oracle: OracleSpec, cfg: RunConfig) -> List[tuple]:
                         method, n,
                     )
                     continue
-                res = monte_carlo_estimation_error(
-                    oracle,
-                    method,
-                    target,
-                    n,
-                    cfg.trials,
-                    derive_seed(cfg.seed, ESTIMATOR_KINDS.index(method) + 1, n, 1),
-                )
+                res = _mc_cell(oracle, method, target, n, cfg, 1)
                 exact = False
             errors = (res.estimation_error, res.model_error, res.reasoning_error)
             rows.append((method, n, *errors, exact))

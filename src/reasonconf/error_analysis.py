@@ -21,7 +21,6 @@ from .errors import DomainError, InvalidSampleSizeError
 from .oracle import (
     OracleSpec,
     TargetErrors,
-    indicator,
     sample_count_matrix,
     target_paths,
 )
@@ -55,7 +54,7 @@ def sc_closed_form(p: float, n: int, is_correct: bool) -> ErrorBreakdown:
     """
     _check_prob(p)
     _check_n(n)
-    ind = indicator(is_correct)
+    ind = float(is_correct)
     return ErrorBreakdown(
         estimation_error=p * (1.0 - p) / n,
         model_error=(p - ind) ** 2,
@@ -71,7 +70,7 @@ def ppl_closed_form(p_path: float, n: int, is_correct: bool) -> ErrorBreakdown:
     """
     _check_prob(p_path)
     _check_n(n)
-    ind = indicator(is_correct)
+    ind = float(is_correct)
     est = (1.0 - p_path) ** n * p_path * (2.0 * ind - p_path)
     return ErrorBreakdown(estimation_error=est, model_error=(p_path - ind) ** 2)
 
@@ -90,7 +89,7 @@ def pc_closed_form(
     _check_n(n)
     if k < 1:
         raise DomainError(f"k must be a positive integer, got {k}")
-    ind = indicator(is_correct)
+    ind = float(is_correct)
     alpha_n = (1.0 - p_answer / k) ** n
     est = alpha_n * p_answer * (2.0 * ind - (1.0 + alpha_n) * p_answer)
     return ErrorBreakdown(estimation_error=est, model_error=(p_answer - ind) ** 2)
@@ -144,7 +143,7 @@ def monte_carlo_estimation_error(
         true_prob=true_p,
         is_correct=is_correct,
         estimation_error=float(np.mean(sq)),
-        reasoning_error=float(np.mean((estimates - indicator(is_correct)) ** 2)),
+        reasoning_error=float(np.mean((estimates - float(is_correct)) ** 2)),
         stderr=float(np.std(sq) / math.sqrt(trials)),
     )
 

@@ -7,7 +7,7 @@ survives reasoning pruning.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Literal, Tuple
+from typing import Dict, Iterable, Literal, Tuple, get_args
 
 from .paths import (
     AnswerLabel,
@@ -21,7 +21,8 @@ from .pruning import PruningReport, prune
 
 EstimatorKind = Literal["SC", "PPL", "PC", "RPC"]
 
-ESTIMATOR_KINDS: Tuple[EstimatorKind, ...] = ("SC", "PPL", "PC", "RPC")
+# In this order: convergence and decompose seed each method by its place here.
+ESTIMATOR_KINDS: Tuple[EstimatorKind, ...] = get_args(EstimatorKind)
 
 
 def sc_confidence(batch: SampleBatch) -> Dict[AnswerLabel, float]:

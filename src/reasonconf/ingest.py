@@ -18,10 +18,8 @@ import io
 import json
 import logging
 import math
-import operator
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import InvalidPathError, ParseError, ReasonConfError
 from .paths import (
@@ -170,9 +168,8 @@ def read_json_document(path: str, kind: str):
             raise ReasonConfError(f"malformed {kind} document: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One scored selection, the unit of CSV/JSON export."""
+class ResultRow(NamedTuple):
+    """One scored selection, the unit of CSV/JSON export; its fields are the columns."""
 
     problem_id: str
     method: str
@@ -180,11 +177,6 @@ class ResultRow:
     selected_answer: str
     confidence: float
     correct: bool
-
-
-RESULT_FIELDS = ("problem_id", "method", "n", "selected_answer", "confidence", "correct")
-
-_result_values = operator.attrgetter(*RESULT_FIELDS)
 
 
 def render_csv(header: Sequence[str], rows: Sequence[tuple], trailer=()) -> str:
@@ -210,10 +202,8 @@ def _cell(value) -> str:
 
 def render_results(rows: Sequence[ResultRow], format: str) -> str:
     """Deterministic text rendering; identical inputs give identical bytes."""
-    table = [_result_values(row) for row in rows]
     if format == "csv":
-        return render_csv(RESULT_FIELDS, table)
+        return render_csv(ResultRow._fields, rows)
     if format == "json":
-        objs = [dict(zip(RESULT_FIELDS, values)) for values in table]
-        return json.dumps(objs, indent=2) + "\n"
+        return json.dumps([row._asdict() for row in rows], indent=2) + "\n"
     raise ReasonConfError(f"unknown export format {format!r}")

@@ -163,11 +163,6 @@ def sample_count_matrix(
     return rng.multinomial(n, np.asarray(probs, dtype=float), size=trials)
 
 
-def indicator(is_correct: bool) -> float:
-    """I, the correctness indicator of a target: 1.0 if correct, else 0.0."""
-    return 1.0 if is_correct else 0.0
-
-
 @dataclass(frozen=True)
 class TargetErrors:
     """An estimator's squared errors for one target, on either route.
@@ -186,7 +181,7 @@ class TargetErrors:
 
     @property
     def model_error(self) -> float:
-        return (self.true_prob - indicator(self.is_correct)) ** 2
+        return (self.true_prob - float(self.is_correct)) ** 2
 
 
 @dataclass(frozen=True)
@@ -249,7 +244,7 @@ def exact_estimator_moments(
 
     paths = oracle.paths
     _, true_prob, is_correct = target_paths(oracle, target)
-    ind = indicator(is_correct)
+    ind = float(is_correct)
 
     outcome_probs: List[float] = []
     values: List[float] = []

@@ -249,16 +249,59 @@ def _extrapolate(theta0, theta1, theta2, step_cap):
     return (theta0 - 2.0 * alpha * r + alpha * alpha * v).clip(_LOWER, _UPPER), alpha
 
 
+def _m_step(ws: _ShapeWorkspace, theta: np.ndarray, rows, norm) -> np.ndarray:
+    """The EM map's M-step from theta, given the E-step rows and norm at theta.
+
+    ``w1`` is the first component's mean responsibility clamped to
+    ``WEIGHT_BOUNDS``; each component whose responsibilities sum past 1e-12
+    gets its weighted Weibull MLE, warm-started from its shape in theta,
+    and keeps its theta entries otherwise.
+    """
+    r1 = np.exp(rows[0] - norm)
+    r1_sum = float(r1.sum())
+    r2_sum = r1.size - r1_sum
+    mapped = theta.tolist()
+    mapped[0] = min(max(r1_sum / r1.size, WEIGHT_BOUNDS[0]), WEIGHT_BOUNDS[1])
+    if r1_sum > 1e-12:
+        mapped[1:3] = _weighted_mle(r1, r1_sum, ws, math.exp(mapped[1]))
+    if r2_sum > 1e-12:
+        mapped[3:] = _weighted_mle(1.0 - r1, r2_sum, ws, math.exp(mapped[3]))
+    return np.array(mapped)
+
+
+def _fit_from_theta(
+    log_x: np.ndarray, theta: np.ndarray, converged: bool, n_maps: int
+) -> MixtureFit:
+    """The ``MixtureFit`` at theta, with its log-likelihood over ln x.
+
+    The components are exp of theta's logs, and ``loglik`` is evaluated at
+    the theta read back from them, as ``mixture_loglik`` evaluates it.  The
+    component with the larger mean is high; a tie goes to the larger scale.
+    """
+    w1 = float(theta[0])
+    k1, lam1, k2, lam2 = map(math.exp, theta[1:].tolist())
+    comp1, comp2 = WeibullParams(k1, lam1), WeibullParams(k2, lam2)
+    high = 1 if (comp1.log_mean(), comp1.scale) >= (comp2.log_mean(), comp2.scale) else 2
+    return MixtureFit(
+        comp1=comp1,
+        comp2=comp2,
+        w1=w1,
+        w2=1.0 - w1,
+        high_index=high,
+        loglik=float(_log_joint(log_x, _theta(w1, comp1, comp2))[1].sum()),
+        converged=converged,
+        n_iter=n_maps,
+    )
+
+
 def fit_mixture(probs: Sequence[float]) -> MixtureFit:
     """Bounded-weight maximum-likelihood fit of the two-Weibull mixture.
 
     Deterministic EM on theta = (w1, ln k1, ln lam1, ln k2, ln lam2):
     responsibilities in the E-step, per-component weighted Weibull MLE in
     the M-step (shape from safeguarded root-finding, scale in closed form),
-    ``w1`` clamped to ``WEIGHT_BOUNDS``.  Starts from a fixed median-split
-    moment initialization.  The returned components are exp of theta's
-    logs, and ``loglik`` is evaluated at the theta read back from them, as
-    ``mixture_loglik`` evaluates it.
+    ``w1`` clamped to ``WEIGHT_BOUNDS`` (``_m_step``).  Starts from a fixed
+    median-split moment initialization; the result is ``_fit_from_theta``.
 
     The EM map F is accelerated by SQUAREM, scheme S3.  After the first
     ``_PLAIN_MAPS`` plain maps, each cycle takes two plain maps t1 = F(t0)
@@ -283,16 +326,13 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
         raise FitDegenerateError("mixture data has no spread")
 
     ws = _ShapeWorkspace(log_x)
-    lo_w, hi_w = WEIGHT_BOUNDS
-
     order = np.argsort(x, kind="stable")
     half = x.size // 2
     theta = np.array([0.5, *_moment_init(x[order[:half]]), *_moment_init(x[order[half:]])])
-    # The plain iterates of the current cycle; while theta is an
-    # extrapolated point, the t2 to fall back to and the step length.
+    # The plain iterates of the current cycle and, while theta is an
+    # extrapolated point, the pair (t2 to fall back to, step length).
     plain = [theta]
-    fallback = None
-    alpha = -1.0
+    pending = None
     step_cap = _STEP_CAP_START
 
     loglik = -math.inf
@@ -302,27 +342,18 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
         n_maps += 1
         rows, norm = _log_joint(log_x, theta)
         new_loglik = float(norm.sum())
-        if fallback is not None:
+        if pending is not None:
+            fallback, alpha = pending
+            pending = None
             if not (math.isfinite(new_loglik) and new_loglik >= loglik):
-                theta, fallback = fallback, None
+                theta = fallback
                 plain = [theta]
                 step_cap = max(1.0, step_cap / 2.0)
                 continue
-            fallback = None
             if alpha == -step_cap:
                 step_cap *= 4.0
 
-        r1 = np.exp(rows[0] - norm)
-        r1_sum = float(r1.sum())
-        r2_sum = x.size - r1_sum
-        mapped = theta.tolist()
-        mapped[0] = min(max(r1_sum / x.size, lo_w), hi_w)
-        if r1_sum > 1e-12:
-            mapped[1:3] = _weighted_mle(r1, r1_sum, ws, math.exp(mapped[1]))
-        if r2_sum > 1e-12:
-            mapped[3:] = _weighted_mle(1.0 - r1, r2_sum, ws, math.exp(mapped[3]))
-        theta = np.array(mapped)
-
+        theta = _m_step(ws, theta, rows, norm)
         if abs(new_loglik - loglik) < TOL:
             converged = True
             break
@@ -335,26 +366,12 @@ def fit_mixture(probs: Sequence[float]) -> MixtureFit:
         if len(plain) == 3 and n_maps < MAX_MAPS:
             theta, alpha = _extrapolate(*plain, step_cap)
             if theta is not plain[2]:
-                fallback = plain[2]
+                pending = (plain[2], alpha)
             elif alpha == -step_cap:
                 step_cap *= 4.0
             plain = []
 
-    w1 = float(theta[0])
-    k1, lam1, k2, lam2 = map(math.exp, theta[1:].tolist())
-    comp1, comp2 = WeibullParams(k1, lam1), WeibullParams(k2, lam2)
-    # The larger mean is high; a tie goes to the larger scale.
-    high = 1 if (comp1.log_mean(), comp1.scale) >= (comp2.log_mean(), comp2.scale) else 2
-    return MixtureFit(
-        comp1=comp1,
-        comp2=comp2,
-        w1=w1,
-        w2=1.0 - w1,
-        high_index=high,
-        loglik=float(_log_joint(log_x, _theta(w1, comp1, comp2))[1].sum()),
-        converged=converged,
-        n_iter=n_maps,
-    )
+    return _fit_from_theta(log_x, theta, converged, n_maps)
 
 
 def mixture_loglik(probs: Sequence[float], fit: MixtureFit) -> float:

@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from dataclasses import asdict
@@ -705,10 +706,11 @@ class TestWarnings:
             assert main(["estimate", "--input", str(dest), "--lenient"]) == 0
         out = capsys.readouterr().out
         assert "skipped" not in out
-        messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 1
-        assert "skipped 3 malformed line(s)" in messages[0]
-        assert messages[0].endswith("line(s) 2, 4, 5")
+        # The one problem's one unique path is too few to fit.
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipped 3 malformed line(s) of {dest}, first at line(s) 2, 4, 5",
+            "1 of 1 RPC batches fell back to the mean rule",
+        ]
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_capped_fits_warn(self, tmp_path, capsys, caplog, monkeypatch, command):
@@ -753,6 +755,37 @@ class TestWarnings:
         )
         assert match and match.group(1) == match.group(2) != "0"
         assert "mixture fits" not in outputs[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_fallbacks_warn_once(self, tmp_path, capsys, caplog, command):
+        # simulate: an n = 2 batch has too few paths to fit, an n = 32 one
+        # has enough; estimate: problem p0 has eight unique paths, p1 two.
+        probs = [0.3, 0.2, 0.15, 0.12, 0.1, 0.06, 0.04, 0.03]
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(
+            json.dumps({"path_probs": probs, "path_answers": ["A", "B"] * 4, "truth": "A"})
+        )
+        records = [("p0", p) for p in probs] + [("p1", 0.5), ("p1", 0.2)]
+        dump = tmp_path / "paths.jsonl"
+        dump.write_text(
+            "".join(
+                json.dumps(
+                    {"problem_id": pid, "text": f"t{i}", "token_logprobs": [math.log(p)], "answer": "A"}
+                )
+                + "\n"
+                for i, (pid, p) in enumerate(records)
+            )
+        )
+        source = {"simulate": ["--oracle", str(oracle)], "estimate": ["--input", str(dump)]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": [2, 32], "repeats": 2}))
+        with caplog.at_level(logging.WARNING, logger="reasonconf"):
+            assert main([command, "--config", str(cfg)] + source[command]) == 0
+        expected = {"simulate": "2 of 4", "estimate": "1 of 2"}[command]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{expected} RPC batches fell back to the mean rule"
+        ]
+        assert "fell back" not in capsys.readouterr().out
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -839,31 +872,70 @@ class TestEstimateGolden:
             assert all(r["correct"] is correct for r in rows)
 
 
-class TestConvergenceGolden:
-    """``convergence``'s output bytes, pinned by ``tests/golden/convergence.txt``.
+# The truth's paths 1 and 4 sit between other answers' paths, so every
+# Monte Carlo draw merges paths on both sides of its target; a change to the
+# random stream shows in the diff of a golden file made from this oracle.
+SIX_PATHS = {
+    "path_probs": [0.1, 0.25, 0.15, 0.05, 0.2, 0.25],
+    "path_answers": ["B", "A", "C", "D", "A", "E"],
+    "truth": "A",
+}
 
-    The truth's paths 1 and 4 sit between other answers' paths, so every
-    Monte Carlo draw merges paths on both sides of its target; a change to
-    the random stream shows in this file's diff.
+
+def _golden_stdout(tmp_path, capsys, command, oracle_doc, cfg_doc) -> bytes:
+    """``command``'s stdout bytes on an oracle and a config document."""
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps(oracle_doc))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(cfg_doc))
+    assert main([command, "--oracle", str(oracle), "--config", str(cfg)]) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+class TestConvergenceGolden:
+    """``convergence``'s output bytes, pinned by ``tests/golden/convergence.txt``."""
+
+    def test_stdout_bytes(self, tmp_path, capsys):
+        cfg = {"seed": 11, "methods": ["SC", "PPL", "PC"], "n_grid": [2, 4, 8, 16], "trials": 2000}
+        out = _golden_stdout(tmp_path, capsys, "convergence", SIX_PATHS, cfg)
+        assert out == (GOLDEN / "convergence.txt").read_bytes()
+
+
+class TestDecomposeGolden:
+    """``decompose``'s output bytes, pinned by ``tests/golden/decompose.txt``.
+
+    On the six paths, n = 2 and 4 enumerate exactly; at n = 16 the 6^16
+    outcomes pass the enumeration cap, so SC, PPL and PC fall back to
+    flagged Monte Carlo rows and RPC's row is skipped.
     """
 
     def test_stdout_bytes(self, tmp_path, capsys):
-        oracle = tmp_path / "oracle.json"
-        oracle.write_text(
-            json.dumps(
-                {
-                    "path_probs": [0.1, 0.25, 0.15, 0.05, 0.2, 0.25],
-                    "path_answers": ["B", "A", "C", "D", "A", "E"],
-                    "truth": "A",
-                }
-            )
-        )
-        cfg = tmp_path / "config.json"
-        cfg.write_text(
-            json.dumps(
-                {"seed": 11, "methods": ["SC", "PPL", "PC"], "n_grid": [2, 4, 8, 16], "trials": 2000}
-            )
-        )
-        assert main(["convergence", "--oracle", str(oracle), "--config", str(cfg)]) == 0
-        expected = (GOLDEN / "convergence.txt").read_bytes()
-        assert capsys.readouterr().out.encode("utf-8") == expected
+        cfg = {"seed": 11, "n_grid": [2, 4, 16], "trials": 2000}
+        out = _golden_stdout(tmp_path, capsys, "decompose", SIX_PATHS, cfg)
+        assert out == (GOLDEN / "decompose.txt").read_bytes()
+        rows = [line.split(",") for line in out.decode().splitlines()[1:]]
+        kinds = {(row[0], row[1], row[5]) for row in rows}
+        assert {("SC", "4", "true"), ("SC", "16", "false")} <= kinds
+        assert ("RPC", "16") not in {(row[0], row[1]) for row in rows}
+
+
+class TestSimulateGolden:
+    """``simulate``'s output bytes, pinned by ``tests/golden/simulate.txt``.
+
+    Forty paths with log-normally spread probabilities give most RPC
+    batches enough distinct paths for a mixture fit, so a change to any
+    fit's retained set shows in this file's diff.
+    """
+
+    def test_stdout_bytes(self, tmp_path, capsys):
+        normal = statistics.NormalDist()
+        raw = [math.exp(1.5 * normal.inv_cdf((i + 0.5) / 40)) for i in range(40)]
+        probs = [q / math.fsum(raw) for q in raw]
+        oracle = {
+            "path_probs": probs,
+            "path_answers": ["ABC"[i % 3] for i in range(40)],
+            "truth": "A",
+        }
+        cfg = {"seed": 5, "n_grid": [16, 32, 64], "repeats": 3}
+        out = _golden_stdout(tmp_path, capsys, "simulate", oracle, cfg)
+        assert out == (GOLDEN / "simulate.txt").read_bytes()

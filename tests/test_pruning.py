@@ -77,15 +77,15 @@ SIMULATE_FAMILY = [simulate_prune_batch(seed) for seed in range(40)]
 def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
     """Unaccelerated EM: the reference the accelerated fit must agree with.
 
-    The same start, E-step and M-step as ``fit_mixture``, one sweep at a
+    The same start, EM map and result as ``fit_mixture``, one sweep at a
     time, stopping once the log-likelihood moves less than ``tol``.
     """
     from reasonconf.pruning import (
+        _fit_from_theta,
         _log_joint,
+        _m_step,
         _moment_init,
         _ShapeWorkspace,
-        _theta,
-        _weighted_mle,
     )
 
     x = np.asarray(probs, dtype=float)
@@ -99,32 +99,12 @@ def plain_em(probs, tol: float, max_iter: int) -> MixtureFit:
     for sweep in range(1, max_iter + 1):
         rows, norm = _log_joint(log_x, theta)
         new_loglik = float(norm.sum())
-        r1 = np.exp(rows[0] - norm)
-        r1_sum = float(r1.sum())
-        theta = np.array(
-            [
-                min(max(r1_sum / x.size, 0.2), 0.8),
-                *_weighted_mle(r1, r1_sum, ws, math.exp(theta[1])),
-                *_weighted_mle(1.0 - r1, x.size - r1_sum, ws, math.exp(theta[3])),
-            ]
-        )
+        theta = _m_step(ws, theta, rows, norm)
         if abs(new_loglik - loglik) < tol:
             converged = True
             break
         loglik = new_loglik
-    w1 = float(theta[0])
-    comp1, comp2 = (WeibullParams(*map(math.exp, theta[i : i + 2].tolist())) for i in (1, 3))
-    high = 1 if comp1.log_mean() > comp2.log_mean() else 2
-    return MixtureFit(
-        comp1=comp1,
-        comp2=comp2,
-        w1=w1,
-        w2=1.0 - w1,
-        high_index=high,
-        loglik=float(_log_joint(log_x, _theta(w1, comp1, comp2))[1].sum()),
-        converged=converged,
-        n_iter=sweep,
-    )
+    return _fit_from_theta(log_x, theta, converged, sweep)
 
 
 def two_mode_batch(seed: int, n: int = 51):
@@ -326,10 +306,17 @@ class TestFitMixture:
     )
     def test_two_mode_fits_take_no_extra_maps(self, seed, plain_sweeps, maps):
         probs = two_mode_batch(seed)
-        assert plain_em(probs, tol=1e-8, max_iter=200).n_iter == plain_sweeps
+        plain = plain_em(probs, tol=1e-8, max_iter=200)
+        assert plain.n_iter == plain_sweeps
         fit = fit_mixture(probs)
         assert fit.converged
         assert fit.n_iter == maps <= plain_sweeps
+        if maps == plain_sweeps:
+            # No extrapolated point was taken: the fit is plain EM's, field for field.
+            assert fit == plain
+        else:
+            assert fit.high_index == plain.high_index
+            assert fit.loglik == pytest.approx(plain.loglik, rel=0, abs=1e-8)
 
     def test_weight_bounds_respected(self):
         for seed in range(4):
